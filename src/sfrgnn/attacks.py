@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import spmm_raw
 from .errors import CapacityError, DatasetFormatError, ValidationError
 from .graph import (
     CsrAdjacency,
@@ -24,7 +23,7 @@ from .graph import (
     graph_stats,
     normalize_adjacency,
 )
-from .nn import gcn_backward_wrt_prop, gcn_forward, nll_loss
+from .nn import ModelParams, gcn_backward_wrt_prop, gcn_forward, nll_loss
 from .rng import RngState
 from .trainer import TrainConfig, train
 
@@ -69,16 +68,13 @@ def _action_for(g: Graph, u: int, v: int) -> str:
     return "remove" if g.adjacency.has_entry(u, v) else "add"
 
 
-def random_flip_attack(g: Graph, ptb_ratio: float, rng: RngState) -> PerturbationPlan:
-    """Uniformly toggle `round(ptb * E)` distinct non-self pairs."""
+def _random_fill(
+    g: Graph, flips: list[tuple[str, int, int]], budget: int, gen: np.random.Generator
+) -> list[tuple[str, int, int]]:
+    """Extend `flips` (pairs stored u < v) to `budget` entries with uniformly
+    drawn non-self pairs it does not hold yet."""
     n = g.num_nodes
-    budget = _flip_budget(g, ptb_ratio)
-    total_pairs = n * (n - 1) // 2
-    if budget > total_pairs:
-        raise ValidationError("budget exceeds the number of distinct node pairs")
-    gen = rng.substream("random-flips").generator()
-    chosen: set[tuple[int, int]] = set()
-    flips: list[tuple[str, int, int]] = []
+    chosen = {(u, v) for _, u, v in flips}
     while len(flips) < budget:
         u, v = (int(x) for x in gen.integers(0, n, size=2))
         if u == v:
@@ -88,6 +84,17 @@ def random_flip_attack(g: Graph, ptb_ratio: float, rng: RngState) -> Perturbatio
             continue
         chosen.add(key)
         flips.append((_action_for(g, *key), *key))
+    return flips
+
+
+def random_flip_attack(g: Graph, ptb_ratio: float, rng: RngState) -> PerturbationPlan:
+    """Uniformly toggle `round(ptb * E)` distinct non-self pairs."""
+    n = g.num_nodes
+    budget = _flip_budget(g, ptb_ratio)
+    total_pairs = n * (n - 1) // 2
+    if budget > total_pairs:
+        raise ValidationError("budget exceeds the number of distinct node pairs")
+    flips = _random_fill(g, [], budget, rng.substream("random-flips").generator())
     return PerturbationPlan(flips=flips, budget=budget, ptb_ratio=ptb_ratio)
 
 
@@ -121,32 +128,21 @@ def dice_attack(g: Graph, ptb_ratio: float, rng: RngState) -> PerturbationPlan:
     n_remove = min(budget // 2, removal_pool.shape[0])
     n_add = min(budget - n_remove, addition_pool.shape[0])
     flips: list[tuple[str, int, int]] = []
-    chosen: set[tuple[int, int]] = set()
     if n_remove:
         for idx in gen.choice(removal_pool.shape[0], size=n_remove, replace=False):
             u, v = (int(x) for x in removal_pool[idx])
             flips.append(("remove", u, v))
-            chosen.add((u, v))
     if n_add:
         for idx in gen.choice(addition_pool.shape[0], size=n_add, replace=False):
             u, v = (int(x) for x in addition_pool[idx])
             flips.append(("add", u, v))
-            chosen.add((u, v))
-
-    n = g.num_nodes
-    while len(flips) < budget:  # random fallback for exhausted pools
-        u, v = (int(x) for x in gen.integers(0, n, size=2))
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in chosen:
-            continue
-        chosen.add(key)
-        flips.append((_action_for(g, *key), *key))
+    flips = _random_fill(g, flips, budget, gen)  # exhausted pools fall back to random
     return PerturbationPlan(flips=flips, budget=budget, ptb_ratio=ptb_ratio)
 
 
-def _flip_scores(g_now: Graph, params64, train_mask: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _flip_scores(
+    adj: CsrAdjacency, head: ModelParams, a1: np.ndarray, labels: np.ndarray, train_mask: np.ndarray
+) -> np.ndarray:
     """Estimated training-NLL change for toggling each unordered pair.
 
     The network is linearized at the current propagation matrix P (G = dL/dP
@@ -160,22 +156,23 @@ def _flip_scores(g_now: Graph, params64, train_mask: np.ndarray, labels: np.ndar
 
     computed separately for additions and removals since their degree shifts
     differ in sign. Entries on the diagonal are invalid (set to -inf later).
+    `head` and `a1` are the surrogate behind an identity first layer and the
+    product x @ w1 (see `sgc_gradient_attack`).
     """
-    prop = normalize_adjacency(g_now.adjacency, validate=False)
-    x64 = g_now.features.astype(np.float64)
-    log_probs, cache = gcn_forward(params64, x64, prop, 0.0, None, False)
+    prop = normalize_adjacency(adj, validate=False)
+    log_probs, cache = gcn_forward(head, a1, prop, 0.0, None, False)
     _, grad_lp = nll_loss(log_probs, labels, train_mask)
     grad_prop = gcn_backward_wrt_prop(cache, grad_lp)
 
-    n = g_now.num_nodes
-    deg_tilde = g_now.adjacency.degrees().astype(np.float64) + 1.0
+    n = adj.dim
+    deg_tilde = adj.degrees().astype(np.float64) + 1.0
     s = 1.0 / np.sqrt(deg_tilde)
     s_add = 1.0 / np.sqrt(deg_tilde + 1.0)
     # removals only apply to existing edges, so deg >= 1 and deg_tilde-1 >= 1
     s_rem = 1.0 / np.sqrt(np.maximum(deg_tilde - 1.0, 1.0))
 
-    rows = np.repeat(np.arange(n), g_now.adjacency.degrees())
-    cols = g_now.adjacency.col_indices
+    rows = np.repeat(np.arange(n), adj.degrees())
+    cols = adj.col_indices
     gdiag = np.diagonal(grad_prop).copy()
     gsym_edges = grad_prop[rows, cols] + grad_prop[cols, rows]
     row_sum = np.zeros(n)  # r_i = sum_j (G_ij + G_ji) s_j B_ij over the B pattern
@@ -197,7 +194,7 @@ def _flip_scores(g_now: Graph, params64, train_mask: np.ndarray, labels: np.ndar
     scores += a_add[:, None]
     scores += a_add[None, :]
 
-    pairs = g_now.adjacency.edge_pairs()
+    pairs = adj.edge_pairs()
     iu, ju = pairs[:, 0], pairs[:, 1]
     cross = (
         (s_rem[iu] - s[iu]) * s[ju] + s[iu] * (s_rem[ju] - s[ju]) + s[iu] * s[ju]
@@ -211,40 +208,6 @@ def _flip_scores(g_now: Graph, params64, train_mask: np.ndarray, labels: np.ndar
 
 
 GRAD_SHORTLIST = 32  # gradient-ranked candidates that get an exact loss evaluation
-
-
-def _fast_prop(n: int, keys: np.ndarray) -> CsrAdjacency:
-    """Normalized propagation matrix straight from sorted unordered-pair keys
-    (u*n+v, u<v). Column order within rows is unsorted; the result is only for
-    direct kernel consumption inside the attack's hot loop."""
-    lo = keys // n
-    hi = keys % n
-    deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-    scale = 1.0 / np.sqrt(deg + 1.0)
-    diag = np.arange(n, dtype=np.int64)
-    src = np.concatenate([lo, hi, diag])
-    dst = np.concatenate([hi, lo, diag])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=row_offsets[1:])
-    return CsrAdjacency(
-        row_offsets=row_offsets, col_indices=dst, values=scale[src] * scale[dst], dim=n
-    )
-
-
-def _surrogate_loss(params64, a1: np.ndarray, prop, labels, train_mask) -> float:
-    """Training NLL of the fixed surrogate under a different propagation
-    matrix, reusing the propagation-independent first-layer product x @ w1."""
-    s1 = spmm_raw(prop.row_offsets, prop.col_indices, prop.values, a1)
-    h = np.maximum(s1 + params64.b1, 0.0)
-    a2 = h @ params64.w2
-    s2 = spmm_raw(prop.row_offsets, prop.col_indices, prop.values, a2)
-    shifted = s2 + params64.b2
-    shifted -= shifted.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    idx = np.flatnonzero(train_mask)
-    return -float(log_probs[idx, labels[idx]].mean())
 
 
 def sgc_gradient_attack(
@@ -271,7 +234,10 @@ def sgc_gradient_attack(
 
     surrogate = train(g, cfg, "gcn", rng.substream("surrogate"))
     params64 = surrogate.params.astype(np.float64)
+    # x @ w1 does not depend on the edges, so it is computed once; gcn_forward
+    # then sees it through an identity first layer, which reproduces it exactly
     a1 = g.features.astype(np.float64) @ params64.w1
+    head = ModelParams(np.eye(a1.shape[1]), params64.b1, params64.w2, params64.b2)
 
     n = g.num_nodes
     clean_pairs = g.adjacency.edge_pairs()
@@ -279,12 +245,13 @@ def sgc_gradient_attack(
     flipped_keys: set[int] = set()
     relinearize_every = max(budget // 10, 1)
 
-    def graph_for(keys: np.ndarray) -> Graph:
-        pairs = np.stack([keys // n, keys % n], axis=1)
-        return g.with_adjacency(csr_from_edge_pairs(n, pairs))
+    def adjacency_for(keys: np.ndarray) -> CsrAdjacency:
+        return csr_from_edge_pairs(n, np.stack([keys // n, keys % n], axis=1))
 
     def loss_for(keys: np.ndarray) -> float:
-        return _surrogate_loss(params64, a1, _fast_prop(n, keys), g.labels, g.splits.train)
+        prop = normalize_adjacency(adjacency_for(keys), validate=False)
+        log_probs, _ = gcn_forward(head, a1, prop, 0.0, None, False)
+        return nll_loss(log_probs, g.labels, g.splits.train)[0]
 
     def has_key(keys: np.ndarray, key: int) -> bool:
         pos = int(np.searchsorted(keys, key))
@@ -300,7 +267,7 @@ def sgc_gradient_attack(
     exhausted = False
     while len(plan.flips) < budget and not exhausted:
         # one gradient linearization serves the next `relinearize_every` flips
-        scores = _flip_scores(graph_for(edge_keys), params64, g.splits.train, g.labels)
+        scores = _flip_scores(adjacency_for(edge_keys), head, a1, g.labels, g.splits.train)
         scores[tril] = -np.inf  # one score per unordered pair
         if flipped_keys:
             arr = np.fromiter(flipped_keys, dtype=np.int64, count=len(flipped_keys))
@@ -385,17 +352,20 @@ def load_plan(path: str | Path) -> PerturbationPlan:
     for idx, ln in enumerate(path.read_text().splitlines()):
         if not ln.strip():
             continue
-        if ln.startswith("#"):
-            for tok in ln[1:].split():
-                if tok.startswith("budget="):
-                    budget = int(tok.split("=", 1)[1])
-                elif tok.startswith("ptb="):
-                    ptb = float(tok.split("=", 1)[1])
-            continue
-        toks = ln.split("\t")
-        if len(toks) != 3 or toks[0] not in ("add", "remove"):
-            raise DatasetFormatError(f"plan line {idx}: expected `action<TAB>u<TAB>v`")
-        flips.append((toks[0], int(toks[1]), int(toks[2])))
+        try:
+            if ln.startswith("#"):
+                for tok in ln[1:].split():
+                    if tok.startswith("budget="):
+                        budget = int(tok.split("=", 1)[1])
+                    elif tok.startswith("ptb="):
+                        ptb = float(tok.split("=", 1)[1])
+                continue
+            toks = ln.split("\t")
+            if len(toks) != 3 or toks[0] not in ("add", "remove"):
+                raise DatasetFormatError(f"plan line {idx}: expected `action<TAB>u<TAB>v`")
+            flips.append((toks[0], int(toks[1]), int(toks[2])))
+        except ValueError as exc:
+            raise DatasetFormatError(f"plan line {idx}: {exc}") from exc
     if budget is None:
         budget = len(flips)
     return PerturbationPlan(flips=flips, budget=budget, ptb_ratio=ptb)

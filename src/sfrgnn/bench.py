@@ -4,8 +4,7 @@ paired-effect probe.
 
 Per-epoch wall times come from the training histories (monotonic timer around
 each epoch body); dataset loading, attack generation, and report I/O are never
-inside a timed region. Numba JIT compilation is absorbed by an explicit kernel
-warm-up before any timed work.
+inside a timed region.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import backend
 from .attacks import (
     GRAD_ATTACK_NODE_CAP,
     PerturbationPlan,
@@ -185,11 +183,21 @@ class MetricsReport:
                 raise SfrError("aggregate repeat count mismatch")
 
 
+def _trial_threads() -> int:
+    """Trial-level parallelism from $SFR_THREADS (default 1)."""
+    raw = os.environ.get("SFR_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValidationError(f"SFR_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def environment_metadata(cfg: TrainConfig, deterministic: bool) -> dict:
+    import scipy  # here, not at the top: importing sfrgnn does not load scipy
+
     return {
         "precision": cfg.resolved_precision(),
-        "kernel_backend": backend.BACKEND,
-        "threads": int(os.environ.get("SFR_THREADS", "1")),
+        "scipy": scipy.__version__,
+        "threads": _trial_threads(),
         "deterministic": deterministic,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -246,8 +254,8 @@ def _run_trial(
 def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     """Load, attack (once per repeat), train every variant, aggregate."""
     spec.validate()
+    threads = _trial_threads()
     g_clean = load_graph(spec.dataset, split_seed=spec.base_seed)
-    backend.warmup()
     base = RngState(spec.base_seed)
 
     tasks = []
@@ -258,7 +266,6 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
         for variant in spec.variants:
             tasks.append((g_trial, g_clean, attacked, variant, repeat))
 
-    threads = int(os.environ.get("SFR_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             trials = list(pool.map(lambda t: _run_trial(*t, spec), tasks))
@@ -399,7 +406,6 @@ def paired_effect_probe(
     g = load_graph(dataset, split_seed=seed)
     if g.num_nodes > GRAD_ATTACK_NODE_CAP:
         raise CapacityError("paired-effect probe needs the gradient attack; graph too large")
-    backend.warmup()
     base = RngState(seed)
     degrees = g.adjacency.degrees()
 
@@ -465,7 +471,6 @@ def bench_timing(
     measurements never overlap."""
     cfg = cfg or TrainConfig()
     g = load_graph(dataset, split_seed=base_seed)
-    backend.warmup()
     rows = []
     for variant in variants:
         pooled: dict[str, list[float]] = {"pretrain": [], "finetune": []}

@@ -1,8 +1,9 @@
 """Command-line surface: `sfr train | attack | bench | paired-effect | check-grad`.
 
-Exit codes: 0 success, 1 validation error, 2 numeric error, 3 capacity error.
-Env vars: SFR_THREADS (trial-level parallelism), SFR_PRECISION (f32|f64),
-SFR_BACKEND (numba|numpy kernel backend).
+Exit codes: 0 success, 1 validation error (bad flags, config values, env vars,
+dataset or plan files), 2 numeric error, 3 capacity error.
+Env vars: SFR_THREADS (trial-level parallelism, a positive integer),
+SFR_PRECISION (f32|f64).
 """
 
 from __future__ import annotations

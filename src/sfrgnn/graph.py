@@ -247,16 +247,19 @@ def _read_lines(path: Path) -> list[str]:
 
 
 def _load_features(dataset_dir: Path) -> np.ndarray:
+    """N x d features: float32 from the binary sidecar (its own precision, half
+    the memory of float64), float64 from features.tsv."""
     binary = dataset_dir / "features.f32le"
     if binary.is_file():
-        raw = binary.read_bytes()
-        if len(raw) < 8:
-            raise DatasetFormatError("features.f32le shorter than its header")
-        n, d = struct.unpack("<II", raw[:8])
-        body = np.frombuffer(raw, dtype="<f4", offset=8)
+        with binary.open("rb") as fh:
+            header = fh.read(8)
+            if len(header) < 8:
+                raise DatasetFormatError("features.f32le shorter than its header")
+            n, d = struct.unpack("<II", header)
+            body = np.fromfile(fh, dtype="<f4")
         if body.shape[0] != n * d:
             raise DatasetFormatError("features.f32le payload does not match header")
-        return body.reshape(n, d).astype(np.float64)
+        return body.reshape(n, d).astype(np.float32, copy=False)
     lines = _read_lines(dataset_dir / "features.tsv")
     feats = []
     for idx, ln in enumerate(lines):
@@ -272,6 +275,22 @@ def _load_features(dataset_dir: Path) -> np.ndarray:
     if len(widths) != 1:
         raise DatasetFormatError("features.tsv rows have inconsistent widths")
     return np.asarray(feats, dtype=np.float64)
+
+
+def _read_json(path: Path) -> dict:
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path.name} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(f"{path.name} must hold a JSON object")
+    return obj
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DatasetFormatError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def load_graph(dataset_dir: str | Path, split_seed: int = 0) -> Graph:
@@ -319,20 +338,24 @@ def load_graph(dataset_dir: str | Path, split_seed: int = 0) -> Graph:
     num_classes = int(labels.max()) + 1 if n else 0
     meta_path = dataset_dir / "meta.json"
     if meta_path.is_file():
-        meta = json.loads(meta_path.read_text())
+        meta = _read_json(meta_path)
         name = meta.get("name", name)
         if "num_classes" in meta:
-            num_classes = int(meta["num_classes"])
+            num_classes = _json_int(meta["num_classes"], "meta.json num_classes")
 
     splits_path = dataset_dir / "splits.json"
     if splits_path.is_file():
-        spec = json.loads(splits_path.read_text())
+        spec = _read_json(splits_path)
         masks = {}
         for key in ("train", "val", "test"):
             if key not in spec:
                 raise DatasetFormatError(f"splits.json missing key {key!r}")
             m = np.zeros(n, dtype=bool)
-            ids = np.asarray(spec[key], dtype=np.int64)
+            if not isinstance(spec[key], list):
+                raise DatasetFormatError(f"splits.json {key!r} must be a list of node ids")
+            ids = np.asarray(
+                [_json_int(i, f"splits.json {key} id") for i in spec[key]], dtype=np.int64
+            )
             if ids.shape[0] and (ids.min() < 0 or ids.max() >= n):
                 raise ValidationError("splits.json node id out of range")
             m[ids] = True

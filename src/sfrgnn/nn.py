@@ -8,27 +8,47 @@ pure functions; in-place mutation is confined to `adam_step`.
 Shapes: x is N x d, w1 is d x F, w2 is F x C. Propagation `prop` is either a
 normalized CSR adjacency or None, in which case the propagation step is
 skipped entirely (mathematically f(X, I)) and the graph is never touched.
+
+Propagation is the one edge-dependent kernel: a scipy CSR product, which
+accumulates each output row in stored column order, so it is bitwise
+deterministic run to run. scipy is imported at the first propagation, so
+loading a graph or running a structure-free stage never pays for it.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import spmm_raw
 from .errors import NumericError, ValidationError
 from .graph import CsrAdjacency
 from .rng import RngState
 
 NORM_EPS = 1e-12  # cosine-similarity zero-norm clamp
 
+_counter = threading.local()  # per-thread so concurrent trials count independently
+
+
+def spmm_calls() -> int:
+    """This thread's propagation calls since the last reset."""
+    return getattr(_counter, "calls", 0)
+
+
+def reset_spmm_calls() -> None:
+    _counter.calls = 0
+
 
 def spmm(adj: CsrAdjacency, h: np.ndarray) -> np.ndarray:
-    """Propagate: out[i] = sum_j adj[i, j] * h[j]."""
+    """Propagate: out[i] = sum_j adj[i, j] * h[j], in h's dtype."""
     if adj.dim != h.shape[0]:
         raise ValidationError(f"spmm dimension mismatch: {adj.dim} vs {h.shape[0]}")
-    return spmm_raw(adj.row_offsets, adj.col_indices, adj.values, h)
+    from scipy.sparse import csr_matrix
+
+    _counter.calls = getattr(_counter, "calls", 0) + 1
+    values = adj.values.astype(h.dtype, copy=False)
+    return csr_matrix((values, adj.col_indices, adj.row_offsets), shape=(adj.dim, adj.dim)) @ h
 
 
 @dataclass

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backend
 from .errors import AugmentationError, NumericError, ValidationError
 from .graph import CsrAdjacency, Graph, csr_from_edge_pairs, normalize_adjacency
 from .nn import (
@@ -32,6 +31,7 @@ from .nn import (
     infonce_loss,
     init_params,
     nll_loss,
+    spmm_calls,
 )
 from .rng import RngState
 
@@ -69,6 +69,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.layers != 2:
             raise ValidationError("only 2-layer models are supported")
+        if self.hidden < 1:
+            raise ValidationError("hidden must be >= 1")
+        if not self.lr > 0.0:
+            raise ValidationError("lr must be > 0")
+        if not self.weight_decay >= 0.0:
+            raise ValidationError("weight_decay must be >= 0")
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
             raise ValidationError("epoch counts must be >= 0")
         if self.pretrain_epochs == 0 and self.finetune_epochs == 0:
@@ -95,7 +101,7 @@ class StageHistory:
     losses: list[float] = field(default_factory=list)
     epoch_ms: list[float] = field(default_factory=list)
     prop_passes: list[int] = field(default_factory=list)  # forward passes using the graph
-    spmm_calls: list[int] = field(default_factory=list)  # raw kernel invocations
+    spmm_calls: list[int] = field(default_factory=list)  # propagation (nn.spmm) calls
 
     @property
     def epochs(self) -> int:
@@ -148,12 +154,12 @@ def _supervised_loop(
     """Plain NLL training (the shared loop behind pretraining and the GCN/MLP
     baselines). With prop=None this never touches the graph structure."""
     dtype = cfg.dtype
-    x = g.features.astype(dtype)
+    x = g.features.astype(dtype, copy=False)
     if params is None:
         params = init_params(x.shape[1], cfg.hidden, g.num_classes, rng, dtype)
     state = AdamState.zeros_like(params)
     for epoch in range(epochs):
-        calls0 = backend.spmm_calls()
+        calls0 = spmm_calls()
         t0 = time.perf_counter()
         drop_rng = rng.substream(f"{stage_name}-dropout-{epoch}")
         log_probs, cache = gcn_forward(params, x, prop, cfg.dropout, drop_rng, True)
@@ -163,7 +169,7 @@ def _supervised_loop(
         stage.losses.append(_check_loss(loss, stage_name))
         stage.epoch_ms.append((time.perf_counter() - t0) * 1000.0)
         stage.prop_passes.append(int(prop is not None))
-        stage.spmm_calls.append(backend.spmm_calls() - calls0)
+        stage.spmm_calls.append(spmm_calls() - calls0)
     return params
 
 
@@ -178,7 +184,7 @@ def pretrain(
         g, cfg, rng, prop=None, epochs=cfg.pretrain_epochs,
         stage=history.pretrain, stage_name="pretrain",
     )
-    z_p, _ = gcn_forward(params, g.features.astype(cfg.dtype), None, cfg.dropout, None, False)
+    z_p, _ = gcn_forward(params, g.features, None, cfg.dropout, None, False)
     return params, z_p, history
 
 
@@ -208,14 +214,16 @@ def _donor_augmentation(
     else:
         selected = train_ids
     degrees = g.adjacency.degrees()
-    x_inter = g.features.copy()
+    # float64 whatever the feature dtype, so donor means are the same for
+    # float32 sidecar features as for the float64 values of features.tsv
+    x_inter = g.features.astype(np.float64)
     replaced = np.zeros(g.num_nodes, dtype=bool)
     sample_log: dict[int, np.ndarray] = {}
     for v in selected:
         pool = train_ids[train_labels != g.labels[v]] if inter_class else train_ids
         num = int(max(degrees[v], 1))
         donors = gen.choice(pool, size=num, replace=pool.shape[0] < num)
-        x_inter[v] = g.features[donors].mean(axis=0)
+        x_inter[v] = g.features[donors].mean(axis=0, dtype=np.float64)
         sample_log[int(v)] = donors
         replaced[v] = True
     return AugmentedFeatures(x_inter=x_inter, replaced_mask=replaced, sample_log=sample_log)
@@ -278,9 +286,9 @@ def finetune(
     dtype = cfg.dtype
     params = params_p.copy()
     prop = normalize_adjacency(g.adjacency)
-    x = g.features.astype(dtype)
+    x = g.features.astype(dtype, copy=False)
     if use_contrastive:
-        x_aug = aug.x_inter.astype(dtype)
+        x_aug = aug.x_inter.astype(dtype, copy=False)
         prop_aug = (
             normalize_adjacency(aug.adjacency_override)
             if aug.adjacency_override is not None
@@ -292,7 +300,7 @@ def finetune(
     state = AdamState.zeros_like(params)
     zero_lp = None
     for epoch in range(cfg.finetune_epochs):
-        calls0 = backend.spmm_calls()
+        calls0 = spmm_calls()
         t0 = time.perf_counter()
         drop_rng = rng.substream(f"finetune-dropout-{epoch}")  # shared by both views
         log_probs, cache = gcn_forward(params, x, prop, cfg.dropout, drop_rng, True)
@@ -318,7 +326,7 @@ def finetune(
         stage.losses.append(_check_loss(loss, "finetune"))
         stage.epoch_ms.append((time.perf_counter() - t0) * 1000.0)
         stage.prop_passes.append(passes)
-        stage.spmm_calls.append(backend.spmm_calls() - calls0)
+        stage.spmm_calls.append(spmm_calls() - calls0)
     return TrainedModel(
         params=params, variant=variant, uses_prop=True, prop=prop, history=history
     )
@@ -404,8 +412,7 @@ def predict(model: TrainedModel, g: Graph) -> tuple[np.ndarray, dict[str, float]
         prop = normalize_adjacency(target.adjacency)
     else:
         prop = None
-    dtype = model.params.w1.dtype
-    log_probs, _ = gcn_forward(model.params, g.features.astype(dtype), prop, 0.0, None, False)
+    log_probs, _ = gcn_forward(model.params, g.features, prop, 0.0, None, False)
     pred = np.argmax(log_probs, axis=1).astype(np.int64)
     correct = pred == g.labels
     accs = {

@@ -241,3 +241,19 @@ def test_gradient_attack_beats_random_on_sbm():
             accs.append(acc["test"])
         medians[name] = float(np.median(accs))
     assert medians["grad"] <= medians["random"]
+
+
+def test_gradient_attack_plan_is_pinned():
+    """A literal plan recorded with the earlier scatter-add propagation and the
+    attack's own surrogate forward; the shared gcn_forward path must keep
+    choosing the same flips in the same order."""
+    g = sbm_graph([25, 25], p_in=0.2, p_out=0.02, seed=7, feature_dim=8,
+                  separation=1.0, train_ratio=0.3, val_ratio=0.2)
+    plan = sgc_gradient_attack(g, 0.1, TrainConfig(pretrain_epochs=60), RngState(11))
+    assert plan.budget == 14
+    assert plan.flips == [
+        ("add", 7, 33), ("add", 0, 33), ("remove", 33, 49), ("remove", 33, 44),
+        ("remove", 33, 39), ("add", 2, 33), ("add", 5, 33), ("add", 18, 33),
+        ("add", 11, 33), ("add", 2, 7), ("add", 20, 46), ("remove", 15, 20),
+        ("remove", 19, 20), ("remove", 20, 21),
+    ]

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -105,3 +106,47 @@ def test_capacity_error_exits_three(dataset, tmp_path, monkeypatch, capsys):
         "--ptb", "0.1", "--seed", "0", "--out", str(tmp_path / "p.tsv"),
     ])
     assert rc == 3
+
+
+def _train_args(dataset, tmp_path, *extra):
+    return [
+        "train", "--dataset", str(dataset), "--variant", "gcn", "--repeats", "1",
+        "--pretrain-epochs", "3", "--finetune-epochs", "0",
+        "--out", str(tmp_path / "x.json"), *extra,
+    ]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# budget=1 ptb=0.1\nadd\t0\tseven\n", "plan line 1"),
+    ("# budget=two ptb=0.1\nadd\t0\t7\n", "plan line 0"),
+])
+def test_malformed_plan_file_exits_one(dataset, tmp_path, capsys, text, message):
+    plan = tmp_path / "plan.tsv"
+    plan.write_text(text)
+    rc = main(_train_args(dataset, tmp_path, "--attack", "external", "--plan", str(plan)))
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["meta.json", "splits.json"])
+def test_malformed_json_dataset_file_exits_one(dataset, tmp_path, capsys, name):
+    copy = tmp_path / "copy"
+    shutil.copytree(dataset, copy)
+    (copy / name).write_text('{"train": [0, 1')
+    rc = main(_train_args(copy, tmp_path))
+    assert rc == 1
+    assert f"{name} is not valid JSON" in capsys.readouterr().err
+
+
+def test_non_integer_sfr_threads_exits_one(dataset, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SFR_THREADS", "abc")
+    rc = main(_train_args(dataset, tmp_path))
+    assert rc == 1
+    assert "SFR_THREADS must be a positive integer" in capsys.readouterr().err
+
+
+def test_zero_hidden_units_exits_one(dataset, tmp_path, capsys):
+    rc = main(_train_args(dataset, tmp_path, "--hidden", "0"))
+    assert rc == 1
+    assert "hidden must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()

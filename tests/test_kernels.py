@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfrgnn import backend
+from sfrgnn import nn
 from sfrgnn.graph import csr_from_edge_pairs, normalize_adjacency
 from sfrgnn.nn import spmm
 from sfrgnn.errors import ValidationError
@@ -55,26 +55,41 @@ def test_spmm_dimension_mismatch():
 def test_call_counter_increments_and_resets():
     adj = random_symmetric_csr(6, 0.5, seed=3)
     h = np.ones((6, 2))
-    backend.reset_spmm_calls()
+    nn.reset_spmm_calls()
     spmm(adj, h)
     spmm(adj, h)
-    assert backend.spmm_calls() == 2
-    backend.reset_spmm_calls()
-    assert backend.spmm_calls() == 0
+    assert nn.spmm_calls() == 2
+    nn.reset_spmm_calls()
+    assert nn.spmm_calls() == 0
 
 
-def test_numpy_and_numba_kernels_agree():
-    adj = random_symmetric_csr(20, 0.3, seed=4)
-    prop = normalize_adjacency(adj)
+def scatter_add_reference(adj, h):
+    """Row-ordered scatter-add spmm: each output row accumulates its stored
+    entries in CSR order, starting from zero, in h's dtype."""
+    out = np.zeros((adj.dim, h.shape[1]), dtype=h.dtype)
+    rows = np.repeat(np.arange(adj.dim), adj.degrees())
+    np.add.at(out, rows, adj.values.astype(h.dtype)[:, None] * h[adj.col_indices])
+    return out
+
+
+def test_spmm_bitwise_equals_scatter_add_reference():
+    cases = {
+        "normalized": normalize_adjacency(random_symmetric_csr(40, 0.2, seed=4)),
+        "raw_with_isolated_rows": csr_from_edge_pairs(
+            40, np.array([[0, 5], [5, 9], [9, 30], [2, 39], [0, 39]])
+        ),
+        "edgeless": csr_from_edge_pairs(40, np.empty((0, 2), dtype=np.int64)),
+    }
+    assert np.count_nonzero(cases["raw_with_isolated_rows"].degrees() == 0) > 30
     rng = np.random.default_rng(5)
-    h = rng.standard_normal((20, 7))
-    out_np = np.zeros_like(h)
-    backend.spmm_numpy_kernel(prop.row_offsets, prop.col_indices, prop.values, h, out_np)
-    np.testing.assert_allclose(out_np, prop.to_dense() @ h, atol=1e-12, rtol=0)
-    if backend.HAS_NUMBA:
-        out_nb = np.zeros_like(h)
-        backend.spmm_numba_kernel(prop.row_offsets, prop.col_indices, prop.values, h, out_nb)
-        np.testing.assert_allclose(out_nb, out_np, atol=1e-12, rtol=0)
+    for name, adj in cases.items():
+        for dtype in (np.float32, np.float64):
+            for cols in (1, 7, 16):
+                h = rng.standard_normal((40, cols)).astype(dtype)
+                out = spmm(adj, h)
+                ref = scatter_add_reference(adj, h)
+                assert out.dtype == dtype and out.shape == ref.shape, (name, dtype)
+                assert out.tobytes() == ref.tobytes(), (name, dtype, cols)
 
 
 def test_kernel_bitwise_deterministic_across_calls():

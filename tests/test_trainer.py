@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sfrgnn.errors import AugmentationError, ValidationError
-from sfrgnn.graph import csr_from_edge_pairs, graph_stats
+from sfrgnn.graph import csr_from_edge_pairs, graph_stats, load_graph, write_graph
 from sfrgnn.rng import RngState
 from sfrgnn.synth import blob_features, sbm_graph
 from sfrgnn.trainer import (
@@ -320,3 +320,30 @@ def test_config_validation():
         TrainConfig(layers=3).validate()
     with pytest.raises(ValidationError):
         TrainConfig(precision="f16").validate()
+
+
+def test_config_rejects_nonsense_model_settings():
+    for bad in (dict(hidden=0), dict(lr=0.0), dict(lr=-0.1), dict(lr=float("nan")),
+                dict(weight_decay=-1e-4)):
+        with pytest.raises(ValidationError):
+            TrainConfig(**bad).validate()
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_sidecar_and_tsv_features_train_bitwise_identically(tmp_path, precision):
+    g = sbm_graph([15, 15, 15], p_in=0.3, p_out=0.03, seed=8, feature_dim=6,
+                  train_ratio=0.3, val_ratio=0.2)
+    g.features = np.round(g.features * 64.0) / 64.0  # exact in float32
+    write_graph(g, tmp_path / "tsv")
+    write_graph(g, tmp_path / "bin", binary_features=True)
+    g_tsv, g_bin = load_graph(tmp_path / "tsv"), load_graph(tmp_path / "bin")
+    assert g_tsv.features.dtype == np.float64 and g_bin.features.dtype == np.float32
+    cfg = TrainConfig(pretrain_epochs=25, finetune_epochs=6, precision=precision)
+    for variant in ("mlp", "gcn", "sfr"):
+        m_tsv = train(g_tsv, cfg, variant, RngState(9))
+        m_bin = train(g_bin, cfg, variant, RngState(9))
+        for a, b in zip(m_tsv.params.arrays(), m_bin.params.arrays()):
+            assert a.dtype == b.dtype == cfg.dtype and a.tobytes() == b.tobytes(), variant
+        pred_tsv, acc_tsv = predict(m_tsv, g_tsv)
+        pred_bin, acc_bin = predict(m_bin, g_bin)
+        assert np.array_equal(pred_tsv, pred_bin) and acc_tsv == acc_bin, variant

@@ -23,7 +23,15 @@ from .graph import (
     graph_stats,
     normalize_adjacency,
 )
-from .nn import ModelParams, gcn_backward_wrt_prop, gcn_forward, nll_loss
+from .nn import (
+    ModelParams,
+    gcn_backward_wrt_prop,
+    gcn_forward,
+    gcn_hidden,
+    gcn_log_probs,
+    nll_loss,
+    spmm,
+)
 from .rng import RngState
 from .trainer import TrainConfig, train
 
@@ -140,9 +148,93 @@ def dice_attack(g: Graph, ptb_ratio: float, rng: RngState) -> PerturbationPlan:
     return PerturbationPlan(flips=flips, budget=budget, ptb_ratio=ptb_ratio)
 
 
-def _flip_scores(
-    adj: CsrAdjacency, head: ModelParams, a1: np.ndarray, labels: np.ndarray, train_mask: np.ndarray
-) -> np.ndarray:
+def _row_entries(m: CsrAdjacency, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every stored entry in the given rows, in stored order."""
+    starts = m.row_offsets[rows]
+    counts = m.row_offsets[rows + 1] - starts
+    idx = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    idx += np.arange(idx.shape[0])
+    return np.repeat(rows, counts), m.col_indices[idx]
+
+
+class _ExactFlipLoss:
+    """Exact surrogate training loss of the current graph with one pair toggled.
+
+    Built from one full forward pass on the current graph. Toggling (u, v)
+    changes the propagation matrix only in rows and columns u and v, so layer 1
+    changes only on S1 = {u, v} + N(u) + N(v) and the logits only on
+    S2 = S1 + N(S1). `loss_with` recomputes layer 1 on S1 and layer 2 on the
+    training rows of S2, each through `spmm` with an N x N matrix that holds
+    only those rows, with the post-toggle entries in the order and with the
+    values `normalize_adjacency` gives them. The patched rows go into a copy
+    of the cached per-node log-probabilities, whose mean is taken as
+    `nll_loss` takes it, so the loss is bitwise equal to a full recompute on
+    the toggled graph. The layer-2 input h @ w2 is one full-shape product on a
+    patched copy of h: numpy hands one-row products to a different BLAS
+    routine, so a product over a subset of rows is not bitwise by design.
+    """
+
+    def __init__(
+        self, adj: CsrAdjacency, head: ModelParams, a1: np.ndarray,
+        labels: np.ndarray, train_mask: np.ndarray,
+    ) -> None:
+        self.adj, self.head, self.labels, self.train_mask = adj, head, labels, train_mask
+        self.prop = normalize_adjacency(adj, validate=False)
+        log_probs, self.cache = gcn_forward(head, a1, self.prop, 0.0, None, False)
+        self.loss, self.grad_log_probs = nll_loss(log_probs, labels, train_mask)
+        train_ids = np.flatnonzero(train_mask)
+        self.picked = log_probs[train_ids, labels[train_ids]]
+        self.slot = np.cumsum(train_mask) - 1  # node -> position in `picked`
+        self.deg_tilde = adj.degrees().astype(np.float64) + 1.0
+        self.h = self.cache.h.copy()  # patched per candidate, then restored
+
+    def _patch(
+        self, rows: np.ndarray, u: int, v: int, add: bool, deg_tilde: np.ndarray
+    ) -> CsrAdjacency:
+        """Post-toggle propagation rows `rows` (sorted) in an N x N matrix."""
+        src, dst = _row_entries(self.prop, rows)
+        if add:
+            ends = np.array([[u, v], [v, u]])[[u in rows, v in rows]]
+            src, dst = np.concatenate([src, ends[:, 0]]), np.concatenate([dst, ends[:, 1]])
+            order = np.lexsort((dst, src))
+            src, dst = src[order], dst[order]
+        else:
+            keep = ~(((src == u) & (dst == v)) | ((src == v) & (dst == u)))
+            src, dst = src[keep], dst[keep]
+        n = self.adj.dim
+        row_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=row_offsets[1:])
+        values = 1.0 / np.sqrt(deg_tilde[src] * deg_tilde[dst])
+        return CsrAdjacency(row_offsets=row_offsets, col_indices=dst, values=values, dim=n)
+
+    def loss_with(self, u: int, v: int) -> float:
+        add = not self.adj.has_entry(u, v)
+        deg_tilde = self.deg_tilde.copy()
+        deg_tilde[[u, v]] += 1.0 if add else -1.0
+        head, cache = self.head, self.cache
+
+        reach = np.zeros(self.adj.dim, dtype=bool)
+        reach[self.prop.row(u)] = True
+        reach[self.prop.row(v)] = True
+        s1_rows = np.flatnonzero(reach)
+        s1 = spmm(self._patch(s1_rows, u, v, add, deg_tilde), cache.a1)
+        self.h[s1_rows] = gcn_hidden(s1[s1_rows], head.b1)
+        a2 = self.h @ head.w2
+        self.h[s1_rows] = cache.h[s1_rows]
+
+        reach[_row_entries(self.prop, s1_rows)[1]] = True
+        out_rows = np.flatnonzero(reach & self.train_mask)
+        picked = self.picked.copy()
+        if out_rows.shape[0]:
+            s2 = spmm(self._patch(out_rows, u, v, add, deg_tilde), a2)
+            log_probs = gcn_log_probs(s2[out_rows], head.b2)
+            picked[self.slot[out_rows]] = log_probs[
+                np.arange(out_rows.shape[0]), self.labels[out_rows]
+            ]
+        return -float(picked.mean())
+
+
+def _flip_scores(exact: _ExactFlipLoss) -> np.ndarray:
     """Estimated training-NLL change for toggling each unordered pair.
 
     The network is linearized at the current propagation matrix P (G = dL/dP
@@ -156,14 +248,12 @@ def _flip_scores(
 
     computed separately for additions and removals since their degree shifts
     differ in sign. Entries on the diagonal are invalid (set to -inf later).
-    `head` and `a1` are the surrogate behind an identity first layer and the
-    product x @ w1 (see `sgc_gradient_attack`).
+    The forward pass and loss gradient are those `exact` cached for the
+    current graph. G, its symmetrization and the scores are three dense
+    float64 N x N buffers.
     """
-    prop = normalize_adjacency(adj, validate=False)
-    log_probs, cache = gcn_forward(head, a1, prop, 0.0, None, False)
-    _, grad_lp = nll_loss(log_probs, labels, train_mask)
-    grad_prop = gcn_backward_wrt_prop(cache, grad_lp)
-
+    adj = exact.adj
+    grad_prop = gcn_backward_wrt_prop(exact.cache, exact.grad_log_probs)
     n = adj.dim
     deg_tilde = adj.degrees().astype(np.float64) + 1.0
     s = 1.0 / np.sqrt(deg_tilde)
@@ -221,6 +311,13 @@ def sgc_gradient_attack(
     normalization), evaluates the exact surrogate loss for the top
     GRAD_SHORTLIST candidates, and applies the best one; the gradient is
     re-linearized every max(budget // 10, 1) applied flips.
+
+    The exact evaluations are local: after one full forward pass per applied
+    flip, a candidate recomputes only the rows within two hops of its endpoints
+    (`_ExactFlipLoss`), bitwise equal to a full recompute, so the plan is the
+    one full recomputes would choose. Memory: scoring holds about 25 * N^2
+    bytes (three float64 N x N buffers and a boolean triangle mask), 183 MB
+    at N = 2708; GRAD_ATTACK_NODE_CAP bounds N.
     """
     if g.num_nodes > GRAD_ATTACK_NODE_CAP:
         raise CapacityError(
@@ -245,17 +342,9 @@ def sgc_gradient_attack(
     flipped_keys: set[int] = set()
     relinearize_every = max(budget // 10, 1)
 
-    def adjacency_for(keys: np.ndarray) -> CsrAdjacency:
-        return csr_from_edge_pairs(n, np.stack([keys // n, keys % n], axis=1))
-
-    def loss_for(keys: np.ndarray) -> float:
-        prop = normalize_adjacency(adjacency_for(keys), validate=False)
-        log_probs, _ = gcn_forward(head, a1, prop, 0.0, None, False)
-        return nll_loss(log_probs, g.labels, g.splits.train)[0]
-
-    def has_key(keys: np.ndarray, key: int) -> bool:
-        pos = int(np.searchsorted(keys, key))
-        return pos < keys.shape[0] and keys[pos] == key
+    def exact_for(keys: np.ndarray) -> _ExactFlipLoss:
+        adj = csr_from_edge_pairs(n, np.stack([keys // n, keys % n], axis=1))
+        return _ExactFlipLoss(adj, head, a1, g.labels, g.splits.train)
 
     def toggled(keys: np.ndarray, key: int) -> np.ndarray:
         pos = int(np.searchsorted(keys, key))
@@ -263,12 +352,13 @@ def sgc_gradient_attack(
             return np.delete(keys, pos)
         return np.insert(keys, pos, key)
 
-    tril = np.tril_indices(n, k=0)
+    lower = np.tri(n, dtype=bool)  # diagonal and below: one score per unordered pair
+    exact = exact_for(edge_keys)
     exhausted = False
     while len(plan.flips) < budget and not exhausted:
         # one gradient linearization serves the next `relinearize_every` flips
-        scores = _flip_scores(adjacency_for(edge_keys), head, a1, g.labels, g.splits.train)
-        scores[tril] = -np.inf  # one score per unordered pair
+        scores = _flip_scores(exact)
+        scores[lower] = -np.inf
         if flipped_keys:
             arr = np.fromiter(flipped_keys, dtype=np.int64, count=len(flipped_keys))
             scores[arr // n, arr % n] = -np.inf
@@ -277,12 +367,12 @@ def sgc_gradient_attack(
         ranked_idx = np.argpartition(flat, flat.size - k)[flat.size - k :]
         ranked_idx = ranked_idx[np.argsort(-flat[ranked_idx])]
         ranked = [int(c) for c in ranked_idx if np.isfinite(flat[c])]
+        del scores, flat  # free the N x N buffer before the next linearization
 
         for _ in range(min(relinearize_every, budget - len(plan.flips))):
-            base_loss = loss_for(edge_keys)
             best_pos, best_delta = None, 0.0
             for pos, cand in enumerate(ranked[:GRAD_SHORTLIST]):
-                delta = loss_for(toggled(edge_keys, cand)) - base_loss
+                delta = exact.loss_with(*divmod(cand, n)) - exact.loss
                 if delta > best_delta:
                     best_pos, best_delta = pos, delta
             if best_pos is None:
@@ -290,9 +380,11 @@ def sgc_gradient_attack(
                 break
             key = ranked.pop(best_pos)
             u, v = divmod(key, n)
-            plan.flips.append(("remove" if has_key(edge_keys, key) else "add", u, v))
+            plan.flips.append(("remove" if exact.adj.has_entry(u, v) else "add", u, v))
             edge_keys = toggled(edge_keys, key)
             flipped_keys.add(key)
+            if len(plan.flips) < budget:
+                exact = exact_for(edge_keys)
     return plan
 
 

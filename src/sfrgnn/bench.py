@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import (
-    GRAD_ATTACK_NODE_CAP,
     PerturbationPlan,
     apply_perturbation,
     dice_attack,
@@ -29,7 +28,7 @@ from .attacks import (
     random_flip_attack,
     sgc_gradient_attack,
 )
-from .errors import CapacityError, SfrError, ValidationError
+from .errors import SfrError, ValidationError
 from .graph import Graph, load_graph
 from .rng import RngState, derive_trial_seed
 from .trainer import VARIANTS, TrainConfig, predict, train
@@ -402,10 +401,10 @@ def paired_effect_probe(
     accuracy drop of a GCN trained with those attributes against the drop with
     degree-preservingly shuffled attributes (each relative to its own clean
     baseline)."""
+    if repeats < 1:
+        raise ValidationError("repeats must be >= 1")
     cfg = cfg or TrainConfig()
     g = load_graph(dataset, split_seed=seed)
-    if g.num_nodes > GRAD_ATTACK_NODE_CAP:
-        raise CapacityError("paired-effect probe needs the gradient attack; graph too large")
     base = RngState(seed)
     degrees = g.adjacency.degrees()
 
@@ -469,6 +468,8 @@ def bench_timing(
     """Median and IQR ms/epoch per variant and stage, measured after dropping
     `warmup_epochs` leading epochs of every stage. Trials run sequentially so
     measurements never overlap."""
+    if repeats < 1:
+        raise ValidationError("repeats must be >= 1")
     cfg = cfg or TrainConfig()
     g = load_graph(dataset, split_seed=base_seed)
     rows = []

@@ -125,6 +125,22 @@ def _check_finite(a: np.ndarray, where: str) -> None:
         raise NumericError(f"non-finite values in {where}")
 
 
+def gcn_hidden(s1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """Layer-1 activation of propagated rows: bias, ReLU, finite check. Row
+    by row, so a subset of rows gets the values the full pass gives them."""
+    h = np.maximum(s1 + b1, 0.0)
+    _check_finite(h, "layer 1 output")
+    return h
+
+
+def gcn_log_probs(s2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Layer-2 output of propagated rows: bias, finite check, log-softmax;
+    row by row like `gcn_hidden`."""
+    logits = s2 + b2
+    _check_finite(logits, "layer 2 output")
+    return _log_softmax(logits)
+
+
 def gcn_forward(
     params: ModelParams,
     x: np.ndarray,
@@ -145,8 +161,7 @@ def gcn_forward(
     a1 = x @ params.w1
     s1 = spmm(prop, a1) if prop is not None else a1
     n_spmm += prop is not None
-    h = np.maximum(s1 + params.b1, 0.0)
-    _check_finite(h, "layer 1 output")
+    h = gcn_hidden(s1, params.b1)
 
     if train_mode and dropout_p > 0.0:
         if rng is None:
@@ -162,9 +177,7 @@ def gcn_forward(
     a2 = hd @ params.w2
     s2 = spmm(prop, a2) if prop is not None else a2
     n_spmm += prop is not None
-    logits = s2 + params.b2
-    _check_finite(logits, "layer 2 output")
-    log_probs = _log_softmax(logits)
+    log_probs = gcn_log_probs(s2, params.b2)
 
     cache = ForwardCache(
         x=x, prop=prop, a1=a1, h=h, hd=hd, drop_scale=drop_scale,
@@ -210,9 +223,12 @@ def gcn_backward(
 
 
 def gcn_backward_wrt_prop(cache: ForwardCache, grad_log_probs: np.ndarray) -> np.ndarray:
-    """Dense N x N gradient of the loss w.r.t. the propagation matrix entries.
+    """Dense N x N float64 gradient of the loss w.r.t. the propagation matrix
+    entries: one 8*N^2-byte buffer, not copied again when the forward pass
+    ran in float64 (as the attack's surrogate does).
 
-    Used by the gradient attack; the caller owns the dense-buffer capacity cap.
+    Used by the gradient attack to rank flips; the caller owns the dense-buffer
+    capacity cap.
     """
     if cache.prop is None:
         raise ValidationError("no propagation matrix in this forward pass")
@@ -221,7 +237,7 @@ def gcn_backward_wrt_prop(cache: ForwardCache, grad_log_probs: np.ndarray) -> np
     a2 = cache.hd @ p.w2
     dprop = dlogits @ a2.T
     dprop += ds1 @ cache.a1.T
-    return dprop.astype(np.float64)
+    return dprop.astype(np.float64, copy=False)
 
 
 def nll_loss(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import sfrgnn.attacks as attacks_mod
 from sfrgnn.attacks import (
     GRAD_ATTACK_NODE_CAP,
     PerturbationPlan,
+    _ExactFlipLoss,
     apply_perturbation,
     dice_attack,
     invert_plan,
@@ -15,7 +17,7 @@ from sfrgnn.attacks import (
 )
 from sfrgnn.errors import CapacityError, ValidationError
 from sfrgnn.graph import csr_from_edge_pairs, graph_stats, normalize_adjacency
-from sfrgnn.nn import gcn_forward, nll_loss
+from sfrgnn.nn import ModelParams, gcn_forward, init_params, nll_loss
 from sfrgnn.rng import RngState
 from sfrgnn.synth import sbm_graph
 from sfrgnn.trainer import TrainConfig, train
@@ -166,8 +168,6 @@ def test_gradient_attack_zero_budget():
 def test_gradient_attack_capacity_error():
     g = dice_ready_sbm(18)
     g.features = g.features[:1].repeat(g.num_nodes, axis=0)  # unchanged shape, cheap
-    import sfrgnn.attacks as attacks_mod
-
     original = attacks_mod.GRAD_ATTACK_NODE_CAP
     attacks_mod.GRAD_ATTACK_NODE_CAP = g.num_nodes - 1
     try:
@@ -257,3 +257,104 @@ def test_gradient_attack_plan_is_pinned():
         ("add", 11, 33), ("add", 2, 7), ("add", 20, 46), ("remove", 15, 20),
         ("remove", 19, 20), ("remove", 20, 21),
     ]
+
+
+def full_recompute_loss(adj, head, a1, g):
+    """The exact surrogate loss the local evaluator replaces: rebuild and
+    re-normalize the whole graph, then run a full forward pass."""
+    adj = csr_from_edge_pairs(adj.dim, adj.edge_pairs())
+    log_probs, _ = gcn_forward(head, a1, normalize_adjacency(adj), 0.0, None, False)
+    return nll_loss(log_probs, g.labels, g.splits.train)[0]
+
+
+def toggled_adjacency(adj, u, v):
+    dense = adj.to_dense().astype(bool)
+    dense[u, v] = dense[v, u] = not dense[u, v]
+    iu, ju = np.nonzero(np.triu(dense, k=1))
+    return csr_from_edge_pairs(adj.dim, np.stack([iu, ju], axis=1))
+
+
+def random_head(g, seed, hidden=8):
+    """A float64 surrogate behind an identity first layer, as the attack
+    builds it; nonzero biases so the ReLU cuts some rows."""
+    params = init_params(g.features.shape[1], hidden, g.num_classes, RngState(seed), np.float64)
+    gen = np.random.default_rng(seed)
+    a1 = g.features.astype(np.float64) @ params.w1
+    head = ModelParams(np.eye(hidden), gen.normal(0, 0.3, hidden), params.w2,
+                       gen.normal(0, 0.3, g.num_classes))
+    return head, a1
+
+
+@pytest.mark.parametrize("seed", [30, 31, 32])
+def test_local_flip_loss_equals_full_recompute_on_every_pair(seed):
+    """Bitwise, not within a tolerance: every pair of a seeded SBM graph,
+    additions and removals, including its isolated and degree-one nodes."""
+    g = sbm_graph([12, 10, 8], p_in=0.2, p_out=0.03, seed=seed, feature_dim=6,
+                  train_ratio=0.3, val_ratio=0.2)
+    head, a1 = random_head(g, seed)
+    exact = _ExactFlipLoss(g.adjacency, head, a1, g.labels, g.splits.train)
+    assert exact.loss == full_recompute_loss(g.adjacency, head, a1, g)
+    degrees = g.adjacency.degrees()
+    kinds = set()
+    for u in range(g.num_nodes):
+        for v in range(u + 1, g.num_nodes):
+            kinds.add("remove" if g.adjacency.has_entry(u, v) else "add")
+            assert exact.loss_with(u, v) == full_recompute_loss(
+                toggled_adjacency(g.adjacency, u, v), head, a1, g
+            ), (u, v)
+    assert kinds == {"add", "remove"}
+    assert (degrees == 0).any() and (degrees == 1).any()
+
+
+def test_local_flip_loss_boundary_cases():
+    # 0-1-2-3 path with trainers 0 and 3, pendant 4 on 1, isolated 5 and 6,
+    # and a trainer-free component 7-8
+    labels = [0, 1, 0, 1, 0, 1, 0, 1, 0]
+    g = build_graph(9, [(0, 1), (1, 2), (2, 3), (1, 4), (7, 8)], labels, train=[0, 3])
+    head, a1 = random_head(g, 33, hidden=4)
+    exact = _ExactFlipLoss(g.adjacency, head, a1, g.labels, g.splits.train)
+    cases = {
+        (5, 6): "addition between two isolated nodes",
+        (1, 4): "removal that leaves an endpoint isolated",
+        (0, 1): "removal that isolates a training node",
+        (7, 8): "removal whose two-hop reach holds no training node",
+        (5, 7): "addition whose two-hop reach holds no training node",
+        (0, 5): "addition from a training node to an isolated node",
+    }
+    for (u, v), name in cases.items():
+        full = full_recompute_loss(toggled_adjacency(g.adjacency, u, v), head, a1, g)
+        assert exact.loss_with(u, v) == full, name
+    assert exact.loss_with(7, 8) == exact.loss
+    assert exact.loss_with(5, 7) == exact.loss
+
+
+def test_attack_base_and_candidate_losses_equal_full_recompute(monkeypatch):
+    """Every evaluator a multi-flip attack builds (one per applied flip) and
+    every loss it hands the greedy step equal the full recompute bitwise."""
+    built = []
+
+    class Recording(_ExactFlipLoss):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.evaluated = []
+            built.append(self)
+
+        def loss_with(self, u, v):
+            loss = super().loss_with(u, v)
+            self.evaluated.append((u, v, loss))
+            return loss
+
+    monkeypatch.setattr(attacks_mod, "_ExactFlipLoss", Recording)
+    g = sbm_graph([25, 25], p_in=0.2, p_out=0.02, seed=7, feature_dim=8,
+                  separation=1.0, train_ratio=0.3, val_ratio=0.2)
+    plan = sgc_gradient_attack(g, 0.1, TrainConfig(pretrain_epochs=60), RngState(11))
+    assert len(built) == len(plan.flips) == 14
+    for step, exact in enumerate(built):
+        prefix = PerturbationPlan(plan.flips[:step], budget=step, ptb_ratio=0.0)
+        current = apply_perturbation(g, prefix).adjacency
+        assert np.array_equal(exact.adj.col_indices, current.col_indices)
+        assert exact.loss == full_recompute_loss(current, exact.head, exact.cache.x, g)
+        assert len(exact.evaluated) == attacks_mod.GRAD_SHORTLIST
+        for u, v, loss in exact.evaluated:
+            toggled = toggled_adjacency(current, u, v)
+            assert loss == full_recompute_loss(toggled, exact.head, exact.cache.x, g), (step, u, v)

@@ -108,6 +108,32 @@ def test_capacity_error_exits_three(dataset, tmp_path, monkeypatch, capsys):
     assert rc == 3
 
 
+def test_paired_effect_capacity_error_exits_three(dataset, tmp_path, monkeypatch, capsys):
+    import sfrgnn.attacks as attacks_mod
+
+    monkeypatch.setattr(attacks_mod, "GRAD_ATTACK_NODE_CAP", 10)
+    out = tmp_path / "pe.json"
+    rc = main([
+        "paired-effect", "--dataset", str(dataset), "--ptb", "0.1",
+        "--repeats", "1", "--out", str(out),
+    ])
+    assert rc == 3
+    assert "the cap is 10 nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("bench", ["--variants", "mlp"]),
+    ("paired-effect", ["--ptb", "0.1"]),
+])
+def test_zero_repeats_exits_one(dataset, tmp_path, capsys, command, extra):
+    out = tmp_path / "out.json"
+    rc = main([command, "--dataset", str(dataset), *extra, "--repeats", "0", "--out", str(out)])
+    assert rc == 1
+    assert "repeats must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _train_args(dataset, tmp_path, *extra):
     return [
         "train", "--dataset", str(dataset), "--variant", "gcn", "--repeats", "1",

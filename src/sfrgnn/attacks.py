@@ -10,7 +10,7 @@ through the symmetric normalization. Attacks see training labels only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,17 @@ from .nn import (
 from .rng import RngState
 from .trainer import TrainConfig, train
 
-GRAD_ATTACK_NODE_CAP = 5000  # dense N x N gradient buffer limit
+# bounds the O(N^2 (C + F)) time of scoring every pair at each relinearization
+GRAD_ATTACK_NODE_CAP = 20000
+
+
+@dataclass(frozen=True)
+class FlipTrace:
+    """How the gradient attack chose one applied flip."""
+
+    rank: int  # position among the remaining gradient-ranked candidates, 1 = top
+    estimated: float  # gradient estimate of the loss change that ranked it
+    exact: float  # exact loss change: loss with the flip minus loss without
 
 
 @dataclass
@@ -43,6 +53,7 @@ class PerturbationPlan:
     flips: list[tuple[str, int, int]]  # (action, u, v) with u < v, action add|remove
     budget: int
     ptb_ratio: float
+    trace: list[FlipTrace] = field(default_factory=list)  # one per flip; gradient attack only
 
     def validate_against(self, g: Graph) -> None:
         if len(self.flips) > self.budget:
@@ -234,27 +245,40 @@ class _ExactFlipLoss:
         return -float(picked.mean())
 
 
-def _flip_scores(exact: _ExactFlipLoss) -> np.ndarray:
-    """Estimated training-NLL change for toggling each unordered pair.
+GRAD_SHORTLIST = 32  # gradient-ranked candidates that get an exact loss evaluation
+SCORE_BLOCK_ELEMENTS = 1 << 20  # pair scores held at once while ranking: 8 MB of float64
 
-    The network is linearized at the current propagation matrix P (G = dL/dP
-    from one backward pass) and G is contracted with the exact change of the
-    normalized matrix the toggle causes: flipping (u,v) rescales rows/columns
-    u and v from s_i = (1 + deg_i)^(-1/2) to the post-flip value and toggles
-    the (u,v) entry itself. With B = A + I, M = G o B, r = (M + M^T) s:
+
+def _ranked_flips(
+    exact: _ExactFlipLoss, flipped: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k pairs with the largest estimated training-NLL change for toggling
+    them, as (keys u * n + v with u < v, estimates), best first; equal
+    estimates rank by ascending key. Pairs whose keys are in `flipped`
+    (sorted) are left out.
+
+    The network is linearized at the current propagation matrix P, with
+    G = dL/dP = U V^T from one backward pass, and G is contracted with the
+    exact change of the normalized matrix the toggle causes: flipping (u,v)
+    rescales rows/columns u and v from s_i = (1 + deg_i)^(-1/2) to the
+    post-flip value and toggles the (u,v) entry itself. With B = A + I,
+    M = G o B, r = (M + M^T) s:
 
         dL(u,v) = sum over rescaled entries of (G_ij + G_ji) dP_ij
                 = a_u + a_v + cross(u, v)
 
     computed separately for additions and removals since their degree shifts
-    differ in sign. Entries on the diagonal are invalid (set to -inf later).
-    The forward pass and loss gradient are those `exact` cached for the
-    current graph. G, its symmetrization and the scores are three dense
-    float64 N x N buffers.
+    differ in sign. G_ij + G_ji = [U, V]_i . [V, U]_j, so the diagonal, the
+    per-edge terms and the removal scores are row-wise dot products, and the
+    addition scores are made one block of rows at a time (pairs j > i only)
+    and merged into a running best k. Memory is a few buffers the size of one
+    block (at most SCORE_BLOCK_ELEMENTS scores) plus O((N + E)(C + F));
+    nothing is N x N.
     """
     adj = exact.adj
-    grad_prop = gcn_backward_wrt_prop(exact.cache, exact.grad_log_probs)
     n = adj.dim
+    u_fac, v_fac = gcn_backward_wrt_prop(exact.cache, exact.grad_log_probs)
+    left, right = np.hstack([u_fac, v_fac]), np.hstack([v_fac, u_fac])
     deg_tilde = adj.degrees().astype(np.float64) + 1.0
     s = 1.0 / np.sqrt(deg_tilde)
     s_add = 1.0 / np.sqrt(deg_tilde + 1.0)
@@ -263,8 +287,8 @@ def _flip_scores(exact: _ExactFlipLoss) -> np.ndarray:
 
     rows = np.repeat(np.arange(n), adj.degrees())
     cols = adj.col_indices
-    gdiag = np.diagonal(grad_prop).copy()
-    gsym_edges = grad_prop[rows, cols] + grad_prop[cols, rows]
+    gdiag = np.einsum("ij,ij->i", u_fac, v_fac)
+    gsym_edges = np.einsum("ij,ij->i", left[rows], right[cols])
     row_sum = np.zeros(n)  # r_i = sum_j (G_ij + G_ji) s_j B_ij over the B pattern
     np.add.at(row_sum, rows, gsym_edges * s[cols])
     row_sum += 2.0 * gdiag * s
@@ -276,28 +300,48 @@ def _flip_scores(exact: _ExactFlipLoss) -> np.ndarray:
     a_add = endpoint_terms(s_add)
     a_rem = endpoint_terms(s_rem)
 
-    # dense addition scores everywhere, then overwrite the edge slots with
-    # removal scores (computed sparsely: only E positions need them)
-    gsym = grad_prop + grad_prop.T
-    scores = np.multiply.outer(s_add, s_add)
-    scores *= gsym
-    scores += a_add[:, None]
-    scores += a_add[None, :]
-
-    pairs = adj.edge_pairs()
-    iu, ju = pairs[:, 0], pairs[:, 1]
+    upper = rows < cols  # each edge once, in key order
+    iu, ju = rows[upper], cols[upper]
     cross = (
         (s_rem[iu] - s[iu]) * s[ju] + s[iu] * (s_rem[ju] - s[ju]) + s[iu] * s[ju]
     )
-    rem_vals = (
-        a_rem[iu] + a_rem[ju] - (grad_prop[iu, ju] + grad_prop[ju, iu]) * cross
-    )
-    scores[iu, ju] = rem_vals
-    scores[ju, iu] = rem_vals
-    return scores
+    rem_vals = a_rem[iu] + a_rem[ju] - gsym_edges[upper] * cross
 
+    left *= s_add[:, None]
+    right *= s_add[:, None]
+    top_keys, top_scores = np.empty(0, dtype=np.int64), np.empty(0)
+    step = max(SCORE_BLOCK_ELEMENTS // n, 1)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        # scores of the pairs (i, j) with r0 <= i < r1 and j >= r0, row-major,
+        # so flat position order is key order
+        blk = left[r0:r1] @ right[r0:].T
+        blk += a_add[r0:r1, None]
+        blk += a_add[None, r0:]
+        blk[:, : r1 - r0][np.tri(r1 - r0, dtype=bool)] = -np.inf  # j <= i
+        e0, e1 = np.searchsorted(iu, [r0, r1])
+        blk[iu[e0:e1] - r0, ju[e0:e1] - r0] = rem_vals[e0:e1]
+        f0, f1 = np.searchsorted(flipped, [r0 * n, r1 * n])
+        blk[flipped[f0:f1] // n - r0, flipped[f0:f1] % n - r0] = -np.inf
 
-GRAD_SHORTLIST = 32  # gradient-ranked candidates that get an exact loss evaluation
+        # every kept key is smaller than this block's, so a block score equal
+        # to the running k-th best ranks below it
+        flat = blk.ravel()
+        floor = top_scores[-1] if top_scores.shape[0] == k else -np.inf
+        idx = np.flatnonzero(flat > floor)
+        vals = flat[idx]
+        if idx.shape[0] > k:  # the block's best k, ties to the smaller keys
+            kth = np.partition(vals, idx.shape[0] - k)[idx.shape[0] - k]
+            keep = vals > kth
+            keep[np.flatnonzero(vals == kth)[: k - np.count_nonzero(keep)]] = True
+            idx, vals = idx[keep], vals[keep]
+        width = n - r0
+        keys = (r0 + idx // width) * n + r0 + idx % width
+        merged_keys = np.concatenate([top_keys, keys])
+        merged_scores = np.concatenate([top_scores, vals])
+        order = np.argsort(-merged_scores, kind="stable")[:k]
+        top_keys, top_scores = merged_keys[order], merged_scores[order]
+    return top_keys, top_scores
 
 
 def sgc_gradient_attack(
@@ -307,22 +351,29 @@ def sgc_gradient_attack(
 
     Trains a GCN surrogate on the clean graph, then repeatedly flips the pair
     with the largest training-loss increase. Each step ranks all feasible
-    toggles by the dense loss gradient (differentiated through the symmetric
+    toggles by the loss gradient (differentiated through the symmetric
     normalization), evaluates the exact surrogate loss for the top
     GRAD_SHORTLIST candidates, and applies the best one; the gradient is
-    re-linearized every max(budget // 10, 1) applied flips.
+    re-linearized every max(budget // 10, 1) applied flips. The plan's
+    `trace` records, per applied flip, its rank among the remaining ranked
+    candidates, its gradient estimate and its exact loss change.
 
     The exact evaluations are local: after one full forward pass per applied
     flip, a candidate recomputes only the rows within two hops of its endpoints
     (`_ExactFlipLoss`), bitwise equal to a full recompute, so the plan is the
-    one full recomputes would choose. Memory: scoring holds about 25 * N^2
-    bytes (three float64 N x N buffers and a boolean triangle mask), 183 MB
-    at N = 2708; GRAD_ATTACK_NODE_CAP bounds N.
+    one full recomputes would choose. Memory: ranking (`_ranked_flips`) holds
+    a few buffers the size of one block of at most SCORE_BLOCK_ELEMENTS
+    float64 scores (8 MB) and O((N + E)(C + F)) factors and per-edge terms,
+    never an N x N buffer: a ranking call peaks at 34 MB of traced
+    allocations at N = 2708 and 78 MB at N = 20000. Time: each
+    relinearization scores all N^2 / 2 pairs in O(N^2 (C + F)), which is what
+    GRAD_ATTACK_NODE_CAP bounds.
     """
     if g.num_nodes > GRAD_ATTACK_NODE_CAP:
         raise CapacityError(
-            f"gradient attack needs a dense {g.num_nodes}^2 buffer; the cap is "
-            f"{GRAD_ATTACK_NODE_CAP} nodes - use the random or dice attacks instead"
+            f"gradient attack scores all {g.num_nodes}^2/2 node pairs at every "
+            f"relinearization; the cap is {GRAD_ATTACK_NODE_CAP} nodes - use the "
+            f"random or dice attacks instead"
         )
     budget = _flip_budget(g, ptb_ratio)
     plan = PerturbationPlan(flips=[], budget=budget, ptb_ratio=ptb_ratio)
@@ -339,7 +390,7 @@ def sgc_gradient_attack(
     n = g.num_nodes
     clean_pairs = g.adjacency.edge_pairs()
     edge_keys = np.sort(clean_pairs[:, 0] * n + clean_pairs[:, 1])
-    flipped_keys: set[int] = set()
+    flipped_keys: list[int] = []
     relinearize_every = max(budget // 10, 1)
 
     def exact_for(keys: np.ndarray) -> _ExactFlipLoss:
@@ -352,37 +403,31 @@ def sgc_gradient_attack(
             return np.delete(keys, pos)
         return np.insert(keys, pos, key)
 
-    lower = np.tri(n, dtype=bool)  # diagonal and below: one score per unordered pair
     exact = exact_for(edge_keys)
     exhausted = False
     while len(plan.flips) < budget and not exhausted:
         # one gradient linearization serves the next `relinearize_every` flips
-        scores = _flip_scores(exact)
-        scores[lower] = -np.inf
-        if flipped_keys:
-            arr = np.fromiter(flipped_keys, dtype=np.int64, count=len(flipped_keys))
-            scores[arr // n, arr % n] = -np.inf
-        flat = scores.ravel()
-        k = min(relinearize_every + GRAD_SHORTLIST, flat.shape[0])
-        ranked_idx = np.argpartition(flat, flat.size - k)[flat.size - k :]
-        ranked_idx = ranked_idx[np.argsort(-flat[ranked_idx])]
-        ranked = [int(c) for c in ranked_idx if np.isfinite(flat[c])]
-        del scores, flat  # free the N x N buffer before the next linearization
+        keys, estimates = _ranked_flips(
+            exact, np.array(sorted(flipped_keys), dtype=np.int64),
+            relinearize_every + GRAD_SHORTLIST,
+        )
+        ranked = list(zip(keys.tolist(), estimates.tolist()))
 
         for _ in range(min(relinearize_every, budget - len(plan.flips))):
             best_pos, best_delta = None, 0.0
-            for pos, cand in enumerate(ranked[:GRAD_SHORTLIST]):
+            for pos, (cand, _) in enumerate(ranked[:GRAD_SHORTLIST]):
                 delta = exact.loss_with(*divmod(cand, n)) - exact.loss
                 if delta > best_delta:
                     best_pos, best_delta = pos, delta
             if best_pos is None:
                 exhausted = True  # no shortlisted flip raises the loss
                 break
-            key = ranked.pop(best_pos)
+            key, estimate = ranked.pop(best_pos)
             u, v = divmod(key, n)
             plan.flips.append(("remove" if exact.adj.has_entry(u, v) else "add", u, v))
+            plan.trace.append(FlipTrace(best_pos + 1, estimate, best_delta))
             edge_keys = toggled(edge_keys, key)
-            flipped_keys.add(key)
+            flipped_keys.append(key)
             if len(plan.flips) < budget:
                 exact = exact_for(edge_keys)
     return plan

@@ -143,6 +143,12 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         plan = sgc_gradient_attack(g, args.ptb, TrainConfig(seed=args.seed), rng)
     save_plan(plan, args.out)
     print(f"wrote {args.out} ({len(plan.flips)} flips, budget {plan.budget})")
+    if plan.trace:
+        hits = sum(step.rank == 1 for step in plan.trace)
+        print(
+            f"gradient ranking hit rate {hits / len(plan.trace):.2f}: {hits} of "
+            f"{len(plan.trace)} flips were the top-ranked remaining candidate"
+        )
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,8 @@ class CsrAdjacency:
     col_indices: np.ndarray  # int64, length nnz
     values: np.ndarray  # float64, length nnz
     dim: int
+    # scipy copies of this matrix by dtype, filled by `nn.spmm`
+    scipy_by_dtype: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def nnz(self) -> int:

@@ -41,14 +41,22 @@ def reset_spmm_calls() -> None:
 
 
 def spmm(adj: CsrAdjacency, h: np.ndarray) -> np.ndarray:
-    """Propagate: out[i] = sum_j adj[i, j] * h[j], in h's dtype."""
+    """Propagate: out[i] = sum_j adj[i, j] * h[j], in h's dtype.
+
+    The scipy matrix is built at the first propagation in each dtype and kept
+    on `adj` for the next ones; no caller writes to a CsrAdjacency's arrays
+    after constructing it."""
     if adj.dim != h.shape[0]:
         raise ValidationError(f"spmm dimension mismatch: {adj.dim} vs {h.shape[0]}")
-    from scipy.sparse import csr_matrix
-
     _counter.calls = getattr(_counter, "calls", 0) + 1
-    values = adj.values.astype(h.dtype, copy=False)
-    return csr_matrix((values, adj.col_indices, adj.row_offsets), shape=(adj.dim, adj.dim)) @ h
+    matrix = adj.scipy_by_dtype.get(h.dtype)
+    if matrix is None:
+        from scipy.sparse import csr_matrix
+
+        values = adj.values.astype(h.dtype, copy=False)
+        matrix = csr_matrix((values, adj.col_indices, adj.row_offsets), shape=(adj.dim, adj.dim))
+        adj.scipy_by_dtype[h.dtype] = matrix
+    return matrix @ h
 
 
 @dataclass
@@ -222,22 +230,21 @@ def gcn_backward(
     )
 
 
-def gcn_backward_wrt_prop(cache: ForwardCache, grad_log_probs: np.ndarray) -> np.ndarray:
-    """Dense N x N float64 gradient of the loss w.r.t. the propagation matrix
-    entries: one 8*N^2-byte buffer, not copied again when the forward pass
-    ran in float64 (as the attack's surrogate does).
-
-    Used by the gradient attack to rank flips; the caller owns the dense-buffer
-    capacity cap.
+def gcn_backward_wrt_prop(
+    cache: ForwardCache, grad_log_probs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of the loss gradient w.r.t. the propagation matrix entries:
+    dL/dP = U @ V.T with U = [dlogits, ds1] and V = [a2, a1], two float64
+    N x (C + F) arrays. The gradient has rank at most C + F, so callers
+    contract the factors instead of forming the N x N matrix.
     """
     if cache.prop is None:
         raise ValidationError("no propagation matrix in this forward pass")
-    p = cache.params
     dlogits, _, ds1 = _backward_to_s1(cache, grad_log_probs, None)
-    a2 = cache.hd @ p.w2
-    dprop = dlogits @ a2.T
-    dprop += ds1 @ cache.a1.T
-    return dprop.astype(np.float64, copy=False)
+    a2 = cache.hd @ cache.params.w2
+    u = np.hstack([dlogits, ds1]).astype(np.float64, copy=False)
+    v = np.hstack([a2, cache.a1]).astype(np.float64, copy=False)
+    return u, v
 
 
 def nll_loss(
@@ -413,7 +420,8 @@ def _random_instance(rng: RngState, n=6, d=4, hidden=3, classes=3):
 
 
 def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
-    """Finite-difference suites for the GCN backward, NLL, and InfoNCE."""
+    """Finite-difference suites for the GCN backward (parameters and
+    propagation matrix), NLL, and InfoNCE."""
     report = GradCheckReport()
     x, labels, mask, prop, params = _random_instance(rng)
     drop_rng = rng.substream("gradcheck-dropout")
@@ -444,6 +452,23 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     _, grad_lp = nll_loss(lp, labels, mask)
     report.errors["nll_loss"] = relative_gradient_error(
         grad_lp, finite_difference_grad(nll_of, lp, eps)
+    )
+
+    # dL/dP over every entry of a dense-pattern P (zero off the edges)
+    n = x.shape[0]
+    dense_p = prop.to_dense()
+
+    def dense_pattern(p_mat):
+        return CsrAdjacency(np.arange(0, n * n + 1, n), np.tile(np.arange(n), n), p_mat.ravel(), n)
+
+    def loss_of_prop(p_mat):
+        lp_mat, _ = gcn_forward(params, x, dense_pattern(p_mat), 0.0, None, False)
+        return nll_loss(lp_mat, labels, mask)[0]
+
+    lp, cache = gcn_forward(params, x, dense_pattern(dense_p), 0.0, None, False)
+    u, v = gcn_backward_wrt_prop(cache, nll_loss(lp, labels, mask)[1])
+    report.errors["gcn_backward_wrt_prop"] = relative_gradient_error(
+        u @ v.T, finite_difference_grad(loss_of_prop, dense_p, eps)
     )
 
     gen = rng.substream("gradcheck-infonce").generator()

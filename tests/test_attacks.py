@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sfrgnn.attacks import (
     GRAD_ATTACK_NODE_CAP,
     PerturbationPlan,
     _ExactFlipLoss,
+    _ranked_flips,
     apply_perturbation,
     dice_attack,
     invert_plan,
@@ -17,7 +20,7 @@ from sfrgnn.attacks import (
 )
 from sfrgnn.errors import CapacityError, ValidationError
 from sfrgnn.graph import csr_from_edge_pairs, graph_stats, normalize_adjacency
-from sfrgnn.nn import ModelParams, gcn_forward, init_params, nll_loss
+from sfrgnn.nn import ModelParams, gcn_backward_wrt_prop, gcn_forward, init_params, nll_loss
 from sfrgnn.rng import RngState
 from sfrgnn.synth import sbm_graph
 from sfrgnn.trainer import TrainConfig, train
@@ -358,3 +361,130 @@ def test_attack_base_and_candidate_losses_equal_full_recompute(monkeypatch):
         for u, v, loss in exact.evaluated:
             toggled = toggled_adjacency(current, u, v)
             assert loss == full_recompute_loss(toggled, exact.head, exact.cache.x, g), (step, u, v)
+
+
+def test_gradient_attack_trace_matches_exact_deltas(monkeypatch):
+    built = []
+
+    class Recording(_ExactFlipLoss):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(attacks_mod, "_ExactFlipLoss", Recording)
+    g = dice_ready_sbm(19, blocks=(8, 8))
+    plan = sgc_gradient_attack(g, 0.15, TrainConfig(pretrain_epochs=40), RngState(20))
+    assert len(plan.trace) == len(plan.flips) > 1
+    for exact, (_, u, v), step in zip(built, plan.flips, plan.trace):
+        assert step.exact == exact.loss_with(u, v) - exact.loss
+        assert step.exact > 0 and np.isfinite(step.estimated)
+        assert 1 <= step.rank <= attacks_mod.GRAD_SHORTLIST
+    assert random_flip_attack(g, 0.15, RngState(1)).trace == []
+    assert dice_attack(g, 0.15, RngState(1)).trace == []
+
+
+def dense_flip_scores(exact):
+    """The dense scorer the factored ranking replaced: the full N x N gradient
+    G = dL/dP, its symmetrization and every pair's score in N x N buffers."""
+    adj = exact.adj
+    u_fac, v_fac = gcn_backward_wrt_prop(exact.cache, exact.grad_log_probs)
+    grad_prop = u_fac @ v_fac.T
+    n = adj.dim
+    deg_tilde = adj.degrees().astype(np.float64) + 1.0
+    s = 1.0 / np.sqrt(deg_tilde)
+    s_add = 1.0 / np.sqrt(deg_tilde + 1.0)
+    s_rem = 1.0 / np.sqrt(np.maximum(deg_tilde - 1.0, 1.0))
+
+    rows = np.repeat(np.arange(n), adj.degrees())
+    cols = adj.col_indices
+    gdiag = np.diagonal(grad_prop).copy()
+    gsym_edges = grad_prop[rows, cols] + grad_prop[cols, rows]
+    row_sum = np.zeros(n)
+    np.add.at(row_sum, rows, gsym_edges * s[cols])
+    row_sum += 2.0 * gdiag * s
+
+    def endpoint_terms(s_new):
+        return (s_new - s) * (row_sum - 2.0 * gdiag * s) + gdiag * (s_new**2 - s**2)
+
+    a_add = endpoint_terms(s_add)
+    a_rem = endpoint_terms(s_rem)
+    scores = np.multiply.outer(s_add, s_add) * (grad_prop + grad_prop.T)
+    scores += a_add[:, None]
+    scores += a_add[None, :]
+    pairs = adj.edge_pairs()
+    iu, ju = pairs[:, 0], pairs[:, 1]
+    cross = (s_rem[iu] - s[iu]) * s[ju] + s[iu] * (s_rem[ju] - s[ju]) + s[iu] * s[ju]
+    rem_vals = a_rem[iu] + a_rem[ju] - (grad_prop[iu, ju] + grad_prop[ju, iu]) * cross
+    scores[iu, ju] = rem_vals
+    scores[ju, iu] = rem_vals
+    return scores
+
+
+def dense_ranking(scores, flipped):
+    """Every feasible pair as (keys, scores), best first, ties by smaller key."""
+    n = scores.shape[0]
+    scores = scores.copy()
+    scores[np.tri(n, dtype=bool)] = -np.inf
+    scores[flipped // n, flipped % n] = -np.inf
+    keys = np.flatnonzero(np.isfinite(scores.ravel()))
+    vals = scores.ravel()[keys]
+    order = np.lexsort((keys, -vals))
+    return keys[order], vals[order]
+
+
+@pytest.mark.parametrize("seed, far", [(40, False), (41, False), (42, False), (43, True)])
+def test_factored_ranking_equals_dense_reference(seed, far, monkeypatch):
+    """Scores within 1e-12 of the dense scorer on every pair (every addition
+    and removal), and the same order, for any block size; with isolated
+    nodes, and with already-flipped edges and non-edges left out. With `far`,
+    two blocks lie beyond two hops of every training node, so hundreds of
+    pairs score exactly 0 and the cut after the positive scores falls inside
+    a tie, which goes to the smaller keys."""
+    g = sbm_graph([30, 25, 20], p_in=0.12, p_out=0.0 if far else 0.01, seed=seed,
+                  feature_dim=6, train_ratio=0.3, val_ratio=0.2)
+    assert (g.adjacency.degrees() == 0).any()
+    train_mask = g.splits.train & (g.labels == 0) if far else g.splits.train
+    head, a1 = random_head(g, seed)
+    exact = _ExactFlipLoss(g.adjacency, head, a1, g.labels, train_mask)
+    n = g.num_nodes
+    gen = np.random.default_rng(seed)
+    edge_keys = g.adjacency.edge_pairs() @ np.array([n, 1])
+    iu, ju = np.triu_indices(n, k=1)
+    flipped = np.unique(np.concatenate([
+        gen.choice(edge_keys, 3, replace=False), gen.choice(iu * n + ju, 3, replace=False)
+    ]))
+    ref_keys, ref_scores = dense_ranking(dense_flip_scores(exact), flipped)
+    assert ref_keys.shape[0] == n * (n - 1) // 2 - flipped.shape[0]
+    positive = int((ref_scores > 0).sum())
+    assert (ref_scores[positive : positive + 6] == 0).all() == far
+
+    shortlist = 2 + attacks_mod.GRAD_SHORTLIST  # relinearize_every + GRAD_SHORTLIST
+    for block in (1, 7 * n + 3, attacks_mod.SCORE_BLOCK_ELEMENTS):
+        monkeypatch.setattr(attacks_mod, "SCORE_BLOCK_ELEMENTS", block)
+        for k in (n * n, shortlist, positive + 5):
+            keys, scores = _ranked_flips(exact, flipped, k)
+            assert keys.tolist() == ref_keys[:k].tolist()
+            np.testing.assert_allclose(scores, ref_scores[:k], rtol=0, atol=1e-12)
+
+
+def test_ranking_memory_is_not_quadratic():
+    """One ranking call at N = 6000, above the old dense cap, stays under
+    64 MB of traced allocations; the N x N buffers it replaced took ~900 MB."""
+    n, classes = 6000, 7
+    gen = np.random.default_rng(50)
+    pairs = gen.integers(0, n, size=(12000, 2))
+    adj = csr_from_edge_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    labels = gen.integers(0, classes, size=n)
+    train_mask = gen.random(n) < 0.1
+    params = init_params(16, 16, classes, RngState(50), np.float64)
+    a1 = gen.standard_normal((n, 16)) @ params.w1
+    head = ModelParams(np.eye(16), gen.normal(0, 0.3, 16), params.w2, params.b2)
+    exact = _ExactFlipLoss(adj, head, a1, labels, train_mask)
+    tracemalloc.start()
+    try:
+        keys, _ = _ranked_flips(exact, np.empty(0, dtype=np.int64), 34)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.shape[0] == 34
+    assert peak < 64 * 2**20, peak / 2**20

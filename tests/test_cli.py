@@ -51,6 +51,14 @@ def test_attack_then_external_train(dataset, tmp_path):
     assert rc == 0
 
 
+def test_grad_attack_prints_hit_rate(dataset, tmp_path, capsys):
+    assert main([
+        "attack", "--dataset", str(dataset), "--method", "grad",
+        "--ptb", "0.05", "--seed", "3", "--out", str(tmp_path / "plan.tsv"),
+    ]) == 0
+    assert "flips were the top-ranked remaining candidate" in capsys.readouterr().out
+
+
 def test_bench_and_paired_effect(dataset, tmp_path):
     out = tmp_path / "timing.json"
     rc = main([

@@ -18,6 +18,7 @@ from sfrgnn.nn import (
     nll_loss,
     params_to_vector,
     relative_gradient_error,
+    spmm,
     vector_to_params,
 )
 from sfrgnn.rng import RngState
@@ -271,6 +272,7 @@ def test_adam_two_runs_bitwise_identical():
 def test_check_gradients_passes():
     report = check_gradients(RngState(0))
     assert report.passed
+    assert "gcn_backward_wrt_prop" in report.errors
     assert max(report.errors.values()) < 1e-5
 
 
@@ -299,3 +301,16 @@ def test_mutated_backward_is_flagged():
 
     numeric = finite_difference_grad(loss_of, params_to_vector(params))
     assert relative_gradient_error(params_to_vector(grads), numeric) > 1e-2
+
+
+def test_spmm_reuses_one_scipy_matrix_per_dtype():
+    g = build_graph(5, [(0, 1), (1, 2), (3, 4)], [0, 1, 0, 1, 0])
+    prop = normalize_adjacency(g.adjacency)
+    h64 = np.random.default_rng(11).standard_normal((5, 3))
+    for h in (h64, h64.astype(np.float32)):
+        first = spmm(prop, h)
+        matrix = prop.scipy_by_dtype[h.dtype]
+        again = spmm(prop, h)
+        assert prop.scipy_by_dtype[h.dtype] is matrix
+        assert again.dtype == h.dtype and np.array_equal(again, first)
+    assert len(prop.scipy_by_dtype) == 2

@@ -25,6 +25,7 @@ from .graph import (
 )
 from .nn import (
     ModelParams,
+    feature_operand,
     gcn_backward_wrt_prop,
     gcn_forward,
     gcn_hidden,
@@ -384,7 +385,7 @@ def sgc_gradient_attack(
     params64 = surrogate.params.astype(np.float64)
     # x @ w1 does not depend on the edges, so it is computed once; gcn_forward
     # then sees it through an identity first layer, which reproduces it exactly
-    a1 = g.features.astype(np.float64) @ params64.w1
+    a1 = feature_operand(g.features, np.float64, g.feature_operands) @ params64.w1
     head = ModelParams(np.eye(a1.shape[1]), params64.b1, params64.w2, params64.b2)
 
     n = g.num_nodes

@@ -30,6 +30,7 @@ from .attacks import (
 )
 from .errors import SfrError, ValidationError
 from .graph import Graph, load_graph
+from .nn import feature_operand
 from .rng import RngState, derive_trial_seed
 from .trainer import VARIANTS, TrainConfig, predict, train
 
@@ -46,7 +47,6 @@ class ExperimentSpec:
     repeats: int = 10
     base_seed: int = 0
     config: TrainConfig = field(default_factory=TrainConfig)
-    deterministic: bool = True
 
     def validate(self) -> None:
         if self.repeats < 1:
@@ -75,7 +75,6 @@ class ExperimentSpec:
             "plan_path": self.plan_path,
             "repeats": self.repeats,
             "base_seed": self.base_seed,
-            "deterministic": self.deterministic,
             "config": {
                 "hidden": self.config.hidden,
                 "layers": self.config.layers,
@@ -190,14 +189,18 @@ def _trial_threads() -> int:
     return int(raw)
 
 
-def environment_metadata(cfg: TrainConfig, deterministic: bool) -> dict:
+def environment_metadata(cfg: TrainConfig, g: Graph) -> dict:
+    """Versions, settings, and the feature operand kind (`csr` or `dense`,
+    see `nn.feature_operand`) and nonzero share of the graph trained on."""
     import scipy  # here, not at the top: importing sfrgnn does not load scipy
 
+    operand = feature_operand(g.features, cfg.dtype, g.feature_operands)
     return {
+        "feature_density": float(np.count_nonzero(g.features) / g.features.size),
+        "feature_operand": "dense" if isinstance(operand, np.ndarray) else "csr",
         "precision": cfg.resolved_precision(),
         "scipy": scipy.__version__,
         "threads": _trial_threads(),
-        "deterministic": deterministic,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -273,7 +276,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
 
     report = MetricsReport(
         spec=spec.to_dict(),
-        environment=environment_metadata(spec.config, spec.deterministic),
+        environment=environment_metadata(spec.config, g_clean),
         trials=trials,
         aggregates=compute_aggregates(trials),
     )
@@ -502,6 +505,6 @@ def bench_timing(
         dataset=str(dataset),
         repeats=repeats,
         warmup_epochs=warmup_epochs,
-        environment=environment_metadata(cfg, deterministic=True),
+        environment=environment_metadata(cfg, g),
         rows=rows,
     )

@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_train)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--format", default="json", choices=["json", "csv", "md"])
-    p_train.add_argument("--deterministic", action="store_true")
 
     p_attack = sub.add_parser("attack", help="generate a perturbation plan")
     p_attack.add_argument("--dataset", required=True)
@@ -117,7 +116,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         base_seed=args.seed,
         config=_config_from(args),
-        deterministic=args.deterministic,
     )
     report = run_experiment(spec)
     emit_report(report, args.out, args.format)

@@ -115,6 +115,9 @@ class Graph:
     splits: SplitMasks
     num_classes: int
     name: str = ""
+    # feature operands by dtype, each with the array it came from; filled by
+    # `nn.feature_operand`, shared by graphs that share the feature array
+    feature_operands: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -140,6 +143,7 @@ class Graph:
             splits=self.splits,
             num_classes=self.num_classes,
             name=self.name,
+            feature_operands=self.feature_operands,
         )
 
 

@@ -26,6 +26,7 @@ from .nn import (
     ModelParams,
     ParamGrads,
     adam_step,
+    feature_operand,
     gcn_backward,
     gcn_forward,
     infonce_loss,
@@ -154,7 +155,7 @@ def _supervised_loop(
     """Plain NLL training (the shared loop behind pretraining and the GCN/MLP
     baselines). With prop=None this never touches the graph structure."""
     dtype = cfg.dtype
-    x = g.features.astype(dtype, copy=False)
+    x = feature_operand(g.features, dtype, g.feature_operands)
     if params is None:
         params = init_params(x.shape[1], cfg.hidden, g.num_classes, rng, dtype)
     state = AdamState.zeros_like(params)
@@ -184,7 +185,8 @@ def pretrain(
         g, cfg, rng, prop=None, epochs=cfg.pretrain_epochs,
         stage=history.pretrain, stage_name="pretrain",
     )
-    z_p, _ = gcn_forward(params, g.features, None, cfg.dropout, None, False)
+    x = feature_operand(g.features, cfg.dtype, g.feature_operands)
+    z_p, _ = gcn_forward(params, x, None, cfg.dropout, None, False)
     return params, z_p, history
 
 
@@ -286,9 +288,9 @@ def finetune(
     dtype = cfg.dtype
     params = params_p.copy()
     prop = normalize_adjacency(g.adjacency)
-    x = g.features.astype(dtype, copy=False)
+    x = feature_operand(g.features, dtype, g.feature_operands)
     if use_contrastive:
-        x_aug = aug.x_inter.astype(dtype, copy=False)
+        x_aug = feature_operand(aug.x_inter, dtype)
         prop_aug = (
             normalize_adjacency(aug.adjacency_override)
             if aug.adjacency_override is not None
@@ -412,7 +414,8 @@ def predict(model: TrainedModel, g: Graph) -> tuple[np.ndarray, dict[str, float]
         prop = normalize_adjacency(target.adjacency)
     else:
         prop = None
-    log_probs, _ = gcn_forward(model.params, g.features, prop, 0.0, None, False)
+    x = feature_operand(g.features, model.params.w1.dtype, g.feature_operands)
+    log_probs, _ = gcn_forward(model.params, x, prop, 0.0, None, False)
     pred = np.argmax(log_probs, axis=1).astype(np.int64)
     correct = pred == g.labels
     accs = {

@@ -28,6 +28,16 @@ def build_graph(n, edges, labels, train=None, val=None, num_classes=None, featur
     )
 
 
+def sparse_binary_features(n, d, seed):
+    """n x d 0/1 features with at most two ones per row, about 2/d dense, with
+    row 0 and the last column all zero."""
+    gen = np.random.default_rng(seed)
+    x = np.zeros((n, d))
+    rows = np.repeat(np.arange(1, n), 2)
+    x[rows, gen.integers(0, d - 1, size=rows.shape[0])] = 1.0
+    return x
+
+
 def path3_graph(labels=(0, 0, 1)):
     """The 3-node path 0-1-2."""
     return build_graph(3, [(0, 1), (1, 2)], labels, train=[0, 2])

@@ -24,6 +24,8 @@ from sfrgnn.rng import RngState, derive_trial_seed
 from sfrgnn.synth import sbm_graph
 from sfrgnn.trainer import TrainConfig
 
+from conftest import sparse_binary_features
+
 
 @pytest.fixture(scope="module")
 def sbm_dir(tmp_path_factory):
@@ -177,6 +179,22 @@ def test_paired_effect_deterministic(sbm_dir):
     a = paired_effect_probe(sbm_dir, ptb_ratio=0.1, repeats=2, seed=16, cfg=quick_cfg())
     b = paired_effect_probe(sbm_dir, ptb_ratio=0.1, repeats=2, seed=16, cfg=quick_cfg())
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_reports_record_feature_operand(sbm_dir, tmp_path, sparse):
+    dataset = sbm_dir
+    if sparse:
+        g = load_graph(sbm_dir)
+        g.features = sparse_binary_features(g.num_nodes, 100, seed=2)
+        dataset = tmp_path / "sparse"
+        write_graph(g, dataset)
+    want = (np.count_nonzero(g.features) / g.features.size) if sparse else 1.0
+    spec = ExperimentSpec(dataset=str(dataset), variants=["gcn"], repeats=1, config=quick_cfg())
+    timing = bench_timing(dataset, ["mlp"], repeats=1, cfg=quick_cfg())
+    for env in (run_experiment(spec).environment, timing.environment):
+        assert env["feature_operand"] == ("csr" if sparse else "dense")
+        assert env["feature_density"] == pytest.approx(want)
 
 
 def test_bench_timing_structure(sbm_dir):

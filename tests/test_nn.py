@@ -6,10 +6,12 @@ import pytest
 from sfrgnn.errors import ValidationError
 from sfrgnn.graph import normalize_adjacency
 from sfrgnn.nn import (
+    FEATURE_CSR_MAX_DENSITY,
     AdamState,
     ModelParams,
     adam_step,
     check_gradients,
+    feature_operand,
     finite_difference_grad,
     gcn_backward,
     gcn_forward,
@@ -22,8 +24,9 @@ from sfrgnn.nn import (
     vector_to_params,
 )
 from sfrgnn.rng import RngState
+from sfrgnn.synth import sbm_graph
 
-from conftest import build_graph
+from conftest import build_graph, sparse_binary_features
 
 
 def zero_params(d, hidden, classes, dtype=np.float64):
@@ -273,6 +276,7 @@ def test_check_gradients_passes():
     report = check_gradients(RngState(0))
     assert report.passed
     assert "gcn_backward_wrt_prop" in report.errors
+    assert "gcn_backward/sparse_features" in report.errors
     assert max(report.errors.values()) < 1e-5
 
 
@@ -314,3 +318,52 @@ def test_spmm_reuses_one_scipy_matrix_per_dtype():
         assert prop.scipy_by_dtype[h.dtype] is matrix
         assert again.dtype == h.dtype and np.array_equal(again, first)
     assert len(prop.scipy_by_dtype) == 2
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_sparse_feature_products_match_dense(dtype, tol):
+    g = sbm_graph([14, 13, 13], p_in=0.3, p_out=0.05, seed=12, feature_dim=4)
+    x = sparse_binary_features(40, 60, seed=5).astype(dtype)
+    assert not x[0].any() and not x[:, -1].any()
+    x_csr = feature_operand(x, dtype)
+    assert not isinstance(x_csr, np.ndarray) and x_csr.dtype == dtype
+    params = init_params(60, 8, 3, RngState(4), dtype=dtype)
+    mask = np.zeros(40, dtype=bool)
+    mask[::3] = True
+    for prop in (normalize_adjacency(g.adjacency), None):
+        lp, cache = gcn_forward(params, x, prop, 0.5, RngState(6), True)
+        lp_csr, cache_csr = gcn_forward(params, x_csr, prop, 0.5, RngState(6), True)
+        assert lp_csr.dtype == dtype
+        assert relative_gradient_error(lp_csr, lp) < tol
+        _, grad_lp = nll_loss(lp, g.labels, mask)
+        grads = gcn_backward(cache, grad_lp)
+        grads_csr = gcn_backward(cache_csr, grad_lp)
+        for a, b in zip(grads_csr.arrays(), grads.arrays()):
+            assert a.dtype == dtype and relative_gradient_error(a, b) < tol
+        assert not grads_csr.w1[-1].any()  # the all-zero feature column
+
+
+def test_feature_operand_density_rule_and_cache():
+    x_at = np.zeros((20, 20))
+    limit = int(FEATURE_CSR_MAX_DENSITY * x_at.size)
+    x_at.flat[:limit] = 1.0
+    x_above = x_at.copy()
+    x_above.flat[limit] = 1.0
+    for dtype in (np.float64, np.float32):
+        op = feature_operand(x_at, dtype)
+        assert not isinstance(op, np.ndarray) and op.dtype == dtype
+        assert np.array_equal(op.toarray(), x_at)
+    assert feature_operand(x_above, np.float64) is x_above
+
+    g = build_graph(20, [(0, 1)], [0, 1] * 10, features=x_at)
+    first = feature_operand(g.features, np.float32, g.feature_operands)
+    assert feature_operand(g.features, np.float32, g.feature_operands) is first
+    other = g.with_adjacency(g.adjacency)  # same feature array, e.g. a poisoned copy
+    assert feature_operand(other.features, np.float32, other.feature_operands) is first
+    g.features = x_at.copy()  # reassigned: equal values, another array
+    second = feature_operand(g.features, np.float32, g.feature_operands)
+    assert second is not first and np.array_equal(second.toarray(), x_at)
+    assert feature_operand(g.features, np.float32, g.feature_operands) is second
+    g.features = x_above
+    assert feature_operand(g.features, np.float64, g.feature_operands) is x_above
+    assert set(g.feature_operands) == {np.dtype(np.float32), np.dtype(np.float64)}

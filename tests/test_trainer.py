@@ -3,6 +3,7 @@ import pytest
 
 from sfrgnn.errors import AugmentationError, ValidationError
 from sfrgnn.graph import csr_from_edge_pairs, graph_stats, load_graph, write_graph
+from sfrgnn.nn import feature_operand
 from sfrgnn.rng import RngState
 from sfrgnn.synth import blob_features, sbm_graph
 from sfrgnn.trainer import (
@@ -15,7 +16,7 @@ from sfrgnn.trainer import (
     train,
 )
 
-from conftest import build_graph, path3_graph
+from conftest import build_graph, path3_graph, sparse_binary_features
 
 
 def params_equal(a, b):
@@ -187,6 +188,21 @@ def test_propagation_pass_and_spmm_counts_per_epoch():
     assert with_cl.history.pretrain.spmm_calls == [0] * cfg.pretrain_epochs
 
 
+def test_sparse_features_keep_propagation_counts():
+    g = sbm_graph([8, 8], p_in=0.5, p_out=0.1, seed=14, feature_dim=4,
+                  train_ratio=0.4, val_ratio=0.2)
+    g.features = sparse_binary_features(16, 200, seed=3)
+    cfg = small_cfg(pretrain_epochs=5, finetune_epochs=5)
+    gcn = train(g, cfg, "gcn", RngState(3))
+    sfr = train(g, cfg, "sfr", RngState(3))
+    operand = g.feature_operands[np.dtype(cfg.dtype)]
+    assert operand[0] is g.features and not isinstance(operand[1], np.ndarray)
+    # feature products are not propagations
+    assert gcn.history.pretrain.spmm_calls == [4] * 5
+    assert sfr.history.pretrain.spmm_calls == [0] * 5
+    assert sfr.history.finetune.spmm_calls == [8] * 5
+
+
 def test_history_lengths_and_positive_wall_times():
     g = sbm_graph([8, 8], p_in=0.5, p_out=0.1, seed=40, feature_dim=4,
                   train_ratio=0.4, val_ratio=0.2)
@@ -329,21 +345,30 @@ def test_config_rejects_nonsense_model_settings():
             TrainConfig(**bad).validate()
 
 
-@pytest.mark.parametrize("precision", ["f32", "f64"])
-def test_sidecar_and_tsv_features_train_bitwise_identically(tmp_path, precision):
+@pytest.mark.parametrize("precision, sparse", [
+    ("f32", False), ("f64", False), ("f32", True), ("f64", True),
+], ids=["f32", "f64", "f32-sparse", "f64-sparse"])
+def test_sidecar_and_tsv_features_train_bitwise_identically(tmp_path, precision, sparse):
     g = sbm_graph([15, 15, 15], p_in=0.3, p_out=0.03, seed=8, feature_dim=6,
                   train_ratio=0.3, val_ratio=0.2)
-    g.features = np.round(g.features * 64.0) / 64.0  # exact in float32
+    if sparse:  # binary bag-of-words, multiplied as CSR
+        g.features = sparse_binary_features(g.num_nodes, 200, seed=8)
+    else:
+        g.features = np.round(g.features * 64.0) / 64.0  # exact in float32
     write_graph(g, tmp_path / "tsv")
     write_graph(g, tmp_path / "bin", binary_features=True)
     g_tsv, g_bin = load_graph(tmp_path / "tsv"), load_graph(tmp_path / "bin")
     assert g_tsv.features.dtype == np.float64 and g_bin.features.dtype == np.float32
     cfg = TrainConfig(pretrain_epochs=25, finetune_epochs=6, precision=precision)
+    assert isinstance(feature_operand(g_bin.features, cfg.dtype), np.ndarray) != sparse
     for variant in ("mlp", "gcn", "sfr"):
         m_tsv = train(g_tsv, cfg, variant, RngState(9))
         m_bin = train(g_bin, cfg, variant, RngState(9))
-        for a, b in zip(m_tsv.params.arrays(), m_bin.params.arrays()):
+        # run to run: a fresh load, so the feature operand is built again
+        m_again = train(load_graph(tmp_path / "bin"), cfg, variant, RngState(9))
+        for a, b, c in zip(m_tsv.params.arrays(), m_bin.params.arrays(), m_again.params.arrays()):
             assert a.dtype == b.dtype == cfg.dtype and a.tobytes() == b.tobytes(), variant
+            assert c.tobytes() == b.tobytes(), variant
         pred_tsv, acc_tsv = predict(m_tsv, g_tsv)
         pred_bin, acc_bin = predict(m_bin, g_bin)
         assert np.array_equal(pred_tsv, pred_bin) and acc_tsv == acc_bin, variant

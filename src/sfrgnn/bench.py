@@ -14,7 +14,7 @@ import io
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,6 +35,15 @@ from .rng import RngState, derive_trial_seed
 from .trainer import VARIANTS, TrainConfig, predict, train
 
 ATTACKS = ("none", "random", "dice", "grad", "external")
+WARMUP_EPOCHS = 5  # leading epochs of every stage that `bench_timing` drops
+
+
+def _validate_variants(variants: list[str]) -> None:
+    if not variants:
+        raise ValidationError("at least one variant is required")
+    for v in variants:
+        if v not in VARIANTS:
+            raise ValidationError(f"unknown variant {v!r}; expected one of {VARIANTS}")
 
 
 @dataclass
@@ -59,36 +68,8 @@ class ExperimentSpec:
             raise ValidationError(f"attack={self.attack} requires ptb_ratio")
         if self.attack == "external" and not self.plan_path:
             raise ValidationError("attack=external requires a plan file")
-        if not self.variants:
-            raise ValidationError("at least one variant is required")
-        for v in self.variants:
-            if v not in VARIANTS:
-                raise ValidationError(f"unknown variant {v!r}")
+        _validate_variants(self.variants)
         self.config.validate()
-
-    def to_dict(self) -> dict:
-        d = {
-            "dataset": str(self.dataset),
-            "variants": list(self.variants),
-            "attack": self.attack,
-            "ptb_ratio": self.ptb_ratio,
-            "plan_path": self.plan_path,
-            "repeats": self.repeats,
-            "base_seed": self.base_seed,
-            "config": {
-                "hidden": self.config.hidden,
-                "layers": self.config.layers,
-                "dropout": self.config.dropout,
-                "lr": self.config.lr,
-                "weight_decay": self.config.weight_decay,
-                "pretrain_epochs": self.config.pretrain_epochs,
-                "finetune_epochs": self.config.finetune_epochs,
-                "internaa_ratio": self.config.internaa_ratio,
-                "temperature": self.config.temperature,
-                "precision": self.config.resolved_precision(),
-            },
-        }
-        return d
 
 
 @dataclass
@@ -102,19 +83,6 @@ class TrialResult:
     finetune_losses: list[float]
     pretrain_epoch_ms: list[float]
     finetune_epoch_ms: list[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "repeat": self.repeat,
-            "seed": self.seed,
-            "clean_acc": self.clean_acc,
-            "attacked_acc": self.attacked_acc,
-            "pretrain_losses": self.pretrain_losses,
-            "finetune_losses": self.finetune_losses,
-            "pretrain_epoch_ms": self.pretrain_epoch_ms,
-            "finetune_epoch_ms": self.finetune_epoch_ms,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialResult":
@@ -154,14 +122,6 @@ class MetricsReport:
     environment: dict
     trials: list[TrialResult]
     aggregates: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "environment": self.environment,
-            "trials": [t.to_dict() for t in self.trials],
-            "aggregates": self.aggregates,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
@@ -227,9 +187,8 @@ def _run_trial(
     spec: ExperimentSpec,
 ) -> TrialResult:
     seed = derive_trial_seed(spec.base_seed, variant, repeat)
-    cfg = replace(spec.config, seed=seed)
     try:
-        model = train(g_trial, cfg, variant, RngState(seed))
+        model = train(g_trial, spec.config, variant, RngState(seed))
         _, acc_on_trial = predict(model, g_trial)
         if attacked:
             _, acc_clean = predict(model, g_clean)
@@ -274,8 +233,10 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     else:
         trials = [_run_trial(*t, spec) for t in tasks]
 
+    # the dataset as a string and the precision resolved, as the run used it
+    config = replace(spec.config, precision=spec.config.resolved_precision())
     report = MetricsReport(
-        spec=spec.to_dict(),
+        spec=asdict(replace(spec, dataset=str(spec.dataset), config=config)),
         environment=environment_metadata(spec.config, g_clean),
         trials=trials,
         aggregates=compute_aggregates(trials),
@@ -289,8 +250,8 @@ def format_accuracy(mean: float, std: float) -> str:
     return f"{mean * 100:.1f}±{std * 100:.1f}"
 
 
-def report_to_json(report: MetricsReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+def report_to_json(report: MetricsReport | PairedEffectReport | TimingReport) -> str:
+    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
 
 
 def report_from_json(text: str) -> MetricsReport:
@@ -389,9 +350,6 @@ class PairedEffectReport:
     median_difference: float
     inconclusive: bool  # |difference| < 0.5 points
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def paired_effect_probe(
     dataset: str | Path,
@@ -427,9 +385,8 @@ def paired_effect_probe(
             ("mismatched", g_shuf, g_shuf_att, drop_mismatched),
         ):
             arm_seed = derive_trial_seed(seed, f"paired-{arm}", r)
-            arm_cfg = replace(cfg, seed=arm_seed)
-            _, acc_clean = predict(train(clean_g, arm_cfg, "gcn", RngState(arm_seed)), clean_g)
-            _, acc_att = predict(train(att_g, arm_cfg, "gcn", RngState(arm_seed)), att_g)
+            _, acc_clean = predict(train(clean_g, cfg, "gcn", RngState(arm_seed)), clean_g)
+            _, acc_att = predict(train(att_g, cfg, "gcn", RngState(arm_seed)), att_g)
             sink.append((acc_clean["test"] - acc_att["test"]) * 100.0)
 
     med_m = float(np.median(drop_matched))
@@ -456,9 +413,6 @@ class TimingReport:
     environment: dict
     rows: list[dict]  # variant, stage, median_ms, iqr_ms, epochs
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def bench_timing(
     dataset: str | Path,
@@ -466,13 +420,13 @@ def bench_timing(
     repeats: int,
     base_seed: int = 0,
     cfg: TrainConfig | None = None,
-    warmup_epochs: int = 5,
 ) -> TimingReport:
     """Median and IQR ms/epoch per variant and stage, measured after dropping
-    `warmup_epochs` leading epochs of every stage. Trials run sequentially so
+    `WARMUP_EPOCHS` leading epochs of every stage. Trials run sequentially so
     measurements never overlap."""
     if repeats < 1:
         raise ValidationError("repeats must be >= 1")
+    _validate_variants(variants)
     cfg = cfg or TrainConfig()
     g = load_graph(dataset, split_seed=base_seed)
     rows = []
@@ -480,13 +434,13 @@ def bench_timing(
         pooled: dict[str, list[float]] = {"pretrain": [], "finetune": []}
         for r in range(repeats):
             seed = derive_trial_seed(base_seed, f"timing-{variant}", r)
-            model = train(g, replace(cfg, seed=seed), variant, RngState(seed))
+            model = train(g, cfg, variant, RngState(seed))
             for stage_name, stage in (
                 ("pretrain", model.history.pretrain),
                 ("finetune", model.history.finetune),
             ):
-                if stage.epochs > warmup_epochs:
-                    pooled[stage_name].extend(stage.epoch_ms[warmup_epochs:])
+                if stage.epochs > WARMUP_EPOCHS:
+                    pooled[stage_name].extend(stage.epoch_ms[WARMUP_EPOCHS:])
         for stage_name, ms in pooled.items():
             if not ms:
                 continue
@@ -504,7 +458,7 @@ def bench_timing(
     return TimingReport(
         dataset=str(dataset),
         repeats=repeats,
-        warmup_epochs=warmup_epochs,
+        warmup_epochs=WARMUP_EPOCHS,
         environment=environment_metadata(cfg, g),
         rows=rows,
     )

@@ -1,7 +1,10 @@
 """Command-line surface: `sfr train | attack | bench | paired-effect | check-grad`.
 
-Exit codes: 0 success, 1 validation error (bad flags, config values, env vars,
-dataset or plan files), 2 numeric error, 3 capacity error.
+Variant names (`--variant`, `--variants`) are those of `trainer.VARIANTS`,
+e.g. `sfr`, `sfr_no_cl`, `gcn_jaccard`; reports are keyed by the same names.
+Exit codes: 0 success, 1 validation error (bad flags, unknown variant names,
+config values, env vars, dataset or plan files), 2 numeric error, 3 capacity
+error.
 Env vars: SFR_THREADS (trial-level parallelism, a positive integer),
 SFR_PRECISION (f32|f64).
 """
@@ -9,66 +12,56 @@ SFR_PRECISION (f32|f64).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .attacks import dice_attack, random_flip_attack, save_plan, sgc_gradient_attack
 from .bench import (
     ExperimentSpec,
     bench_timing,
     emit_report,
+    format_accuracy,
     paired_effect_probe,
+    report_to_json,
     run_experiment,
 )
-from .errors import SfrError
+from .errors import SfrError, ValidationError
 from .graph import load_graph
 from .nn import check_gradients
 from .rng import RngState
-from .trainer import TrainConfig
+from .trainer import VARIANTS, TrainConfig
 
-CLI_VARIANTS = {
-    "sfr": "sfr",
-    "sfr-nocl": "sfr_no_cl",
-    "sfr-nofin": "sfr_no_fin",
-    "sfr-nd": "sfr_nd",
-    "sfr-er": "sfr_er",
-    "sfr-fm": "sfr_fm",
-    "sfr-ran": "sfr_ran",
-    "gcn": "gcn",
-    "mlp": "mlp",
-    "gcn-jaccard": "gcn_jaccard",
-}
+# TrainConfig fields settable from the command line, as `--pretrain-epochs` etc.
+CONFIG_FLAGS = ("pretrain_epochs", "finetune_epochs", "hidden", "lr", "dropout", "internaa_ratio")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A bad flag is a validation error (exit 1), not argparse's exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pretrain-epochs", type=int, default=200)
-    p.add_argument("--finetune-epochs", type=int, default=20)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--internaa-ratio", type=float, default=1.0)
+    defaults = TrainConfig()
+    for name in CONFIG_FLAGS:
+        value = getattr(defaults, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
 
 
 def _config_from(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        hidden=args.hidden,
-        dropout=args.dropout,
-        lr=args.lr,
-        pretrain_epochs=args.pretrain_epochs,
-        finetune_epochs=args.finetune_epochs,
-        internaa_ratio=args.internaa_ratio,
-        seed=args.seed,
-    )
+    return TrainConfig(seed=args.seed, **{name: getattr(args, name) for name in CONFIG_FLAGS})
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sfr")
+    parser = _Parser(prog="sfr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run a seeded accuracy experiment")
     p_train.add_argument("--dataset", required=True)
-    p_train.add_argument("--variant", required=True, choices=sorted(CLI_VARIANTS))
+    p_train.add_argument("--variant", required=True, choices=VARIANTS)
     p_train.add_argument(
         "--attack", default="none", choices=["none", "random", "dice", "grad", "external"]
     )
@@ -109,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_train(args: argparse.Namespace) -> int:
     spec = ExperimentSpec(
         dataset=args.dataset,
-        variants=[CLI_VARIANTS[args.variant]],
+        variants=[args.variant],
         attack=args.attack,
         ptb_ratio=args.ptb,
         plan_path=args.plan,
@@ -121,10 +114,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     emit_report(report, args.out, args.format)
     for variant, agg in report.aggregates.items():
         print(
-            f"{variant}: clean {agg['clean_test_mean'] * 100:.1f}"
-            f"±{agg['clean_test_std'] * 100:.1f}  "
-            f"attacked {agg['attacked_test_mean'] * 100:.1f}"
-            f"±{agg['attacked_test_std'] * 100:.1f}"
+            f"{variant}: clean {format_accuracy(agg['clean_test_mean'], agg['clean_test_std'])}"
+            f"  attacked {format_accuracy(agg['attacked_test_mean'], agg['attacked_test_std'])}"
         )
     print(f"wrote {args.out}")
     return 0
@@ -138,7 +129,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     elif args.method == "dice":
         plan = dice_attack(g, args.ptb, rng)
     else:
-        plan = sgc_gradient_attack(g, args.ptb, TrainConfig(seed=args.seed), rng)
+        plan = sgc_gradient_attack(g, args.ptb, TrainConfig(), rng)
     save_plan(plan, args.out)
     print(f"wrote {args.out} ({len(plan.flips)} flips, budget {plan.budget})")
     if plan.trace:
@@ -151,9 +142,9 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    variants = [CLI_VARIANTS[v.strip()] for v in args.variants.split(",") if v.strip()]
+    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     report = bench_timing(args.dataset, variants, args.repeats, base_seed=args.seed)
-    Path(args.out).write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    Path(args.out).write_text(report_to_json(report))
     for row in report.rows:
         print(
             f"{row['variant']}/{row['stage']}: median {row['median_ms']:.2f} ms/epoch "
@@ -165,7 +156,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_paired_effect(args: argparse.Namespace) -> int:
     report = paired_effect_probe(args.dataset, args.ptb, args.repeats, args.seed)
-    Path(args.out).write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    Path(args.out).write_text(report_to_json(report))
     print(
         f"median drop matched {report.median_drop_matched:.2f} pts, "
         f"shuffled {report.median_drop_mismatched:.2f} pts, "
@@ -183,7 +174,6 @@ def _cmd_check_grad(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {
         "train": _cmd_train,
         "attack": _cmd_attack,
@@ -192,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         "check-grad": _cmd_check_grad,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except SfrError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ edges with duplicates and self-citations dropped.
 
 from __future__ import annotations
 
-import struct
 import tarfile
 import tempfile
 import urllib.request
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetFormatError
-from .graph import csr_from_edge_pairs
+from .graph import Graph, SplitMasks, csr_from_edge_pairs, write_graph
 
 CORA_URLS = (
     "https://linqs-data.soe.ucsc.edu/public/lbc/cora.tgz",
@@ -62,9 +61,9 @@ def prepare_cora(dest: str | Path, raw_dir: str | Path | None = None) -> Path:
     """Build a loadable cora dataset directory at `dest`.
 
     Looks for the raw files under `raw_dir` (or `dest/raw`), downloading them
-    when absent. Writes edges.tsv / features.tsv / labels.tsv / meta.json plus
-    the binary feature sidecar; no splits.json, so loaders generate seeded
-    10/10/80 splits.
+    when absent. Writes the files of `graph.write_graph`, with the binary
+    feature sidecar but no splits.json, so loaders generate seeded 10/10/80
+    splits.
     """
     dest = Path(dest)
     raw_dir = Path(raw_dir) if raw_dir is not None else dest / "raw"
@@ -97,23 +96,19 @@ def prepare_cora(dest: str | Path, raw_dir: str | Path | None = None) -> Path:
         if a is None or b is None or a == b:
             continue
         pairs.append((a, b))
-    adjacency = csr_from_edge_pairs(features.shape[0], np.array(pairs, dtype=np.int64))
-
-    dest.mkdir(parents=True, exist_ok=True)
-    with (dest / "edges.tsv").open("w") as fh:
-        for u, v in adjacency.edge_pairs():
-            fh.write(f"{u}\t{v}\n")
-    with (dest / "labels.tsv").open("w") as fh:
-        for y in labels:
-            fh.write(f"{int(y)}\n")
-    with (dest / "features.tsv").open("w") as fh:
-        for row in features:
-            fh.write("\t".join(repr(float(x)) for x in row) + "\n")
-    n, d = features.shape
-    with (dest / "features.f32le").open("wb") as fh:
-        fh.write(struct.pack("<II", n, d))
-        fh.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
-    (dest / "meta.json").write_text(
-        '{"name":"cora","num_classes":%d}\n' % (int(labels.max()) + 1)
+    n = features.shape[0]
+    g = Graph(
+        features=features,
+        adjacency=csr_from_edge_pairs(n, np.array(pairs, dtype=np.int64)),
+        labels=labels,
+        splits=SplitMasks(
+            train=np.zeros(n, dtype=bool), val=np.zeros(n, dtype=bool), test=np.ones(n, dtype=bool)
+        ),
+        num_classes=int(labels.max()) + 1,
+        name="cora",
     )
+    write_graph(g, dest, binary_features=True)
+    # the split above is a placeholder: without splits.json, loaders draw the
+    # split from their `split_seed`
+    (dest / "splits.json").unlink()
     return dest

@@ -147,11 +147,11 @@ class Graph:
         )
 
 
-def csr_from_edge_pairs(n: int, pairs: np.ndarray, dedup: bool = True) -> CsrAdjacency:
+def csr_from_edge_pairs(n: int, pairs: np.ndarray) -> CsrAdjacency:
     """Build a symmetric binary CSR from undirected (u, v) pairs.
 
-    Rejects self-loops; with dedup=True, duplicate and reversed duplicates
-    collapse to a single undirected edge.
+    Rejects self-loops; duplicate and reversed duplicates collapse to a single
+    undirected edge.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.shape[0]:
@@ -161,11 +161,7 @@ def csr_from_edge_pairs(n: int, pairs: np.ndarray, dedup: bool = True) -> CsrAdj
             raise ValidationError("self-loop edges are not allowed")
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        keys = lo * n + hi
-        if dedup:
-            keys = np.unique(keys)
-        elif np.unique(keys).shape[0] != keys.shape[0]:
-            raise ValidationError("duplicate undirected edge")
+        keys = np.unique(lo * n + hi)
         lo, hi = keys // n, keys % n
         src = np.concatenate([lo, hi])
         dst = np.concatenate([hi, lo])

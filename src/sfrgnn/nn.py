@@ -167,7 +167,6 @@ class ForwardCache:
     drop_scale: np.ndarray | None  # inverted-dropout mask / keep_prob
     log_probs: np.ndarray
     params: ModelParams
-    spmm_count: int
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -211,11 +210,9 @@ def gcn_forward(
         raise ValidationError("dropout_p must lie in [0, 1)")
     dtype = params.w1.dtype
     x = x.astype(dtype, copy=False)
-    n_spmm = 0
 
     a1 = x @ params.w1
     s1 = spmm(prop, a1) if prop is not None else a1
-    n_spmm += prop is not None
     h = gcn_hidden(s1, params.b1)
 
     if train_mode and dropout_p > 0.0:
@@ -231,12 +228,11 @@ def gcn_forward(
 
     a2 = hd @ params.w2
     s2 = spmm(prop, a2) if prop is not None else a2
-    n_spmm += prop is not None
     log_probs = gcn_log_probs(s2, params.b2)
 
     cache = ForwardCache(
         x=x, prop=prop, a1=a1, h=h, hd=hd, drop_scale=drop_scale,
-        log_probs=log_probs, params=params, spmm_count=n_spmm,
+        log_probs=log_probs, params=params,
     )
     return log_probs, cache
 

@@ -56,7 +56,6 @@ JACCARD_THRESHOLD = 0.01
 @dataclass
 class TrainConfig:
     hidden: int = 16
-    layers: int = 2  # fixed; kept explicit so configs are self-describing
     dropout: float = 0.5
     lr: float = 0.01
     weight_decay: float = 5e-4
@@ -64,12 +63,10 @@ class TrainConfig:
     finetune_epochs: int = 20
     internaa_ratio: float = 1.0
     temperature: float = 1.0
-    seed: int = 0
+    seed: int = 0  # sfrgnn never reads it; reports record it; perfbench sets it by replace()
     precision: str | None = None  # "f32" | "f64"; None reads $SFR_PRECISION
 
     def validate(self) -> None:
-        if self.layers != 2:
-            raise ValidationError("only 2-layer models are supported")
         if self.hidden < 1:
             raise ValidationError("hidden must be >= 1")
         if not self.lr > 0.0:

@@ -203,7 +203,7 @@ def test_a7b_pretrain_faster_than_gcn_per_epoch(cora_dir):
     )
 
 
-def test_a7c_pretrain_time_independent_of_edges(tmp_path):
+def test_a7c_pretrain_time_independent_of_edges():
     t0 = time.perf_counter()
     g_dense = sbm_graph([400, 400], p_in=0.025, p_out=0.005, seed=71, feature_dim=32,
                         train_ratio=0.2, val_ratio=0.2)
@@ -212,21 +212,24 @@ def test_a7c_pretrain_time_independent_of_edges(tmp_path):
     e_sparse = g_sparse.adjacency.nnz // 2
     assert e_dense >= 9 * e_sparse  # ~10x edge-count difference
 
-    medians = []
-    for name, g in (("dense", g_dense), ("sparse", g_sparse)):
-        d = tmp_path / name
-        write_graph(g, d)
-        report = bench_timing(d, ["mlp"], repeats=3,
-                              cfg=TrainConfig(pretrain_epochs=120))
-        medians.append(report.rows[0]["median_ms"])
-    hi, lo = max(medians), min(medians)
+    # Fastest pretraining epoch of each graph, over short trials that
+    # alternate between the graphs. The host has slow spells, about 1.6x
+    # slower and up to seconds long; the fastest epoch is the figure they move
+    # least (see perfbench/README.md), and many alternations give both graphs
+    # a fast moment.
+    fastest = {"dense": float("inf"), "sparse": float("inf")}
+    for r in range(12):
+        for name, g in (("dense", g_dense), ("sparse", g_sparse)):
+            model = train(g, TrainConfig(pretrain_epochs=40), "mlp", RngState(r))
+            fastest[name] = min(fastest[name], *model.history.pretrain.epoch_ms)
+    hi, lo = max(fastest.values()), min(fastest.values())
     rel = (hi - lo) / hi
     elapsed = time.perf_counter() - t0
     check(
         "A7c",
         rel < 0.25 and elapsed < 600.0,
-        f"pretrain ms/epoch with 10x edge difference: {medians[0]:.2f} vs "
-        f"{medians[1]:.2f} ({rel * 100:.0f}% apart, < 25%), runtime {elapsed:.0f}s",
+        f"fastest pretrain ms/epoch with 10x edge difference: {fastest['dense']:.2f} vs "
+        f"{fastest['sparse']:.2f} ({rel * 100:.0f}% apart, < 25%), runtime {elapsed:.0f}s",
     )
 
 

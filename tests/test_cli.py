@@ -184,3 +184,28 @@ def test_zero_hidden_units_exits_one(dataset, tmp_path, capsys):
     assert rc == 1
     assert "hidden must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--no-such-flag"],
+    ["--hidden", "abc"],
+    ["--variant", "sfr-nocl"],  # the variant is spelled sfr_no_cl
+])
+def test_bad_flag_exits_one(dataset, tmp_path, capsys, extra):
+    rc = main(_train_args(dataset, tmp_path, *extra))
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("variants, message", [
+    ("sfr,foo", "unknown variant 'foo'"),
+    (",", "at least one variant is required"),
+])
+def test_bad_bench_variant_list_exits_one(dataset, tmp_path, capsys, variants, message):
+    out = tmp_path / "timing.json"
+    rc = main(["bench", "--dataset", str(dataset), "--variants", variants,
+               "--repeats", "1", "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

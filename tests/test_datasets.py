@@ -1,7 +1,7 @@
 import numpy as np
 
 from sfrgnn.datasets import find_raw_cora, prepare_cora
-from sfrgnn.graph import graph_stats, load_graph
+from sfrgnn.graph import graph_stats, load_graph, write_graph
 
 
 def write_raw_citation_fixture(raw_dir):
@@ -42,3 +42,8 @@ def test_prepare_converts_raw_citation_files(tmp_path):
     np.testing.assert_array_equal(g.features[0], [1.0, 0.0, 0.0, 1.0])
     assert (dest / "features.f32le").is_file()
     assert not (dest / "splits.json").exists()  # splits stay caller-controlled
+    # the files are those `write_graph` writes for the graph they load as
+    ref = tmp_path / "ref"
+    write_graph(g, ref, binary_features=True)
+    for name in ("edges.tsv", "features.tsv", "features.f32le", "labels.tsv", "meta.json"):
+        assert (dest / name).read_bytes() == (ref / name).read_bytes(), name

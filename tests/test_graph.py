@@ -6,7 +6,6 @@ import pytest
 
 from sfrgnn.errors import DatasetFormatError, ValidationError
 from sfrgnn.graph import (
-    csr_from_edge_pairs,
     graph_stats,
     load_graph,
     make_split,
@@ -229,8 +228,3 @@ def test_structural_symmetry_validated_on_every_load(tmp_path):
     rows = np.repeat(np.arange(n), g.adjacency.degrees())
     for i, j in zip(rows, g.adjacency.col_indices):
         assert g.adjacency.has_entry(j, i)
-
-
-def test_csr_rejects_declared_duplicate_edges():
-    with pytest.raises(ValidationError):
-        csr_from_edge_pairs(3, np.array([[0, 1], [1, 0]]), dedup=False)

@@ -333,8 +333,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         TrainConfig(internaa_ratio=0.0).validate()
     with pytest.raises(ValidationError):
-        TrainConfig(layers=3).validate()
-    with pytest.raises(ValidationError):
         TrainConfig(precision="f16").validate()
 
 

@@ -84,6 +84,12 @@ def _flip_budget(g: Graph, ptb_ratio: float) -> int:
     return int(round(ptb_ratio * (g.adjacency.nnz // 2)))
 
 
+def _edge_keys(adj: CsrAdjacency) -> np.ndarray:
+    """The undirected edges as ascending int64 keys u * n + v with u < v."""
+    pairs = adj.edge_pairs()  # already in key order
+    return pairs[:, 0] * adj.dim + pairs[:, 1]
+
+
 def _action_for(g: Graph, u: int, v: int) -> str:
     return "remove" if g.adjacency.has_entry(u, v) else "add"
 
@@ -139,11 +145,8 @@ def dice_attack(g: Graph, ptb_ratio: float, rng: RngState) -> PerturbationPlan:
     cand_u, cand_v = ti[upper], tj[upper]
     diff_class = labels[cand_u] != labels[cand_v]
     cand_u, cand_v = cand_u[diff_class], cand_v[diff_class]
-    existing = {(int(u), int(v)) for u, v in pairs}
-    addition_pool = np.array(
-        [(u, v) for u, v in zip(cand_u, cand_v) if (int(u), int(v)) not in existing],
-        dtype=np.int64,
-    ).reshape(-1, 2)
+    absent = np.isin(cand_u * g.num_nodes + cand_v, _edge_keys(g.adjacency), invert=True)
+    addition_pool = np.stack([cand_u[absent], cand_v[absent]], axis=1)
 
     n_remove = min(budget // 2, removal_pool.shape[0])
     n_add = min(budget - n_remove, addition_pool.shape[0])
@@ -389,28 +392,20 @@ def sgc_gradient_attack(
     head = ModelParams(np.eye(a1.shape[1]), params64.b1, params64.w2, params64.b2)
 
     n = g.num_nodes
-    clean_pairs = g.adjacency.edge_pairs()
-    edge_keys = np.sort(clean_pairs[:, 0] * n + clean_pairs[:, 1])
-    flipped_keys: list[int] = []
+    edge_keys = _edge_keys(g.adjacency)
+    flipped_keys = np.empty(0, dtype=np.int64)
     relinearize_every = max(budget // 10, 1)
 
     def exact_for(keys: np.ndarray) -> _ExactFlipLoss:
         adj = csr_from_edge_pairs(n, np.stack([keys // n, keys % n], axis=1))
         return _ExactFlipLoss(adj, head, a1, g.labels, g.splits.train)
 
-    def toggled(keys: np.ndarray, key: int) -> np.ndarray:
-        pos = int(np.searchsorted(keys, key))
-        if pos < keys.shape[0] and keys[pos] == key:
-            return np.delete(keys, pos)
-        return np.insert(keys, pos, key)
-
     exact = exact_for(edge_keys)
     exhausted = False
     while len(plan.flips) < budget and not exhausted:
         # one gradient linearization serves the next `relinearize_every` flips
         keys, estimates = _ranked_flips(
-            exact, np.array(sorted(flipped_keys), dtype=np.int64),
-            relinearize_every + GRAD_SHORTLIST,
+            exact, flipped_keys, relinearize_every + GRAD_SHORTLIST
         )
         ranked = list(zip(keys.tolist(), estimates.tolist()))
 
@@ -427,8 +422,8 @@ def sgc_gradient_attack(
             u, v = divmod(key, n)
             plan.flips.append(("remove" if exact.adj.has_entry(u, v) else "add", u, v))
             plan.trace.append(FlipTrace(best_pos + 1, estimate, best_delta))
-            edge_keys = toggled(edge_keys, key)
-            flipped_keys.append(key)
+            edge_keys = np.setxor1d(edge_keys, [key])
+            flipped_keys = np.union1d(flipped_keys, [key])
             if len(plan.flips) < budget:
                 exact = exact_for(edge_keys)
     return plan
@@ -437,15 +432,12 @@ def sgc_gradient_attack(
 def apply_perturbation(g: Graph, plan: PerturbationPlan) -> Graph:
     """Apply the plan's flips; features, labels, and splits are untouched."""
     plan.validate_against(g)
-    edges = {(int(u), int(v)) for u, v in g.adjacency.edge_pairs()}
-    for action, u, v in plan.flips:
-        key = (min(u, v), max(u, v))
-        if action == "remove":
-            edges.remove(key)
-        else:
-            edges.add(key)
-    pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-    return g.with_adjacency(csr_from_edge_pairs(g.num_nodes, pairs))
+    n = g.num_nodes
+    # a validated plan names each pair once, removes only present edges and
+    # adds only absent ones, so toggling its keys applies it
+    flipped = np.array([min(u, v) * n + max(u, v) for _, u, v in plan.flips], dtype=np.int64)
+    keys = np.setxor1d(_edge_keys(g.adjacency), flipped)
+    return g.with_adjacency(csr_from_edge_pairs(n, np.stack([keys // n, keys % n], axis=1)))
 
 
 def invert_plan(plan: PerturbationPlan) -> PerturbationPlan:
@@ -459,12 +451,10 @@ def invert_plan(plan: PerturbationPlan) -> PerturbationPlan:
 def perturbation_stats(clean: Graph, perturbed: Graph) -> dict[str, float]:
     if clean.num_nodes != perturbed.num_nodes:
         raise ValidationError("graphs have different node counts")
-    n = clean.num_nodes
-    clean_keys = {u * n + v for u, v in clean.adjacency.edge_pairs()}
-    pert_keys = {u * n + v for u, v in perturbed.adjacency.edge_pairs()}
-    added = len(pert_keys - clean_keys)
-    removed = len(clean_keys - pert_keys)
-    e_clean = len(clean_keys)
+    clean_keys, pert_keys = _edge_keys(clean.adjacency), _edge_keys(perturbed.adjacency)
+    added = np.setdiff1d(pert_keys, clean_keys).shape[0]
+    removed = np.setdiff1d(clean_keys, pert_keys).shape[0]
+    e_clean = clean_keys.shape[0]
     return {
         "added": added,
         "removed": removed,

@@ -27,7 +27,6 @@ class RngState:
     """A 64-bit seed naming one deterministic Philox stream."""
 
     seed: int
-    algorithm: str = "philox"
 
     def substream(self, label: str) -> "RngState":
         """Derive an independent child stream identified by `label`."""

@@ -9,6 +9,10 @@ Fine-tuning then continues from the pretrained weights with propagation
 through the (possibly poisoned) graph enabled, optionally pulling each
 training node's representation toward the representation of the same node
 under inter-class averaged attributes (a contrastive term).
+
+Pretraining, fine-tuning and the GCN/MLP baselines all run the one epoch loop
+`_supervised_loop`; fine-tuning is that loop with propagation on and, unless
+its augmented view is None, the contrastive term added.
 """
 
 from __future__ import annotations
@@ -117,7 +121,6 @@ class TrainedModel:
     params: ModelParams
     variant: str
     uses_prop: bool
-    prop: CsrAdjacency | None  # normalized adjacency the model was trained with
     history: TrainingHistory
 
 
@@ -148,25 +151,47 @@ def _supervised_loop(
     stage: StageHistory,
     stage_name: str,
     params: ModelParams | None = None,
+    view: tuple[np.ndarray, CsrAdjacency, np.ndarray] | None = None,
 ) -> ModelParams:
-    """Plain NLL training (the shared loop behind pretraining and the GCN/MLP
-    baselines). With prop=None this never touches the graph structure."""
+    """The one training loop: NLL on the training mask, behind pretraining,
+    fine-tuning and the GCN/MLP baselines. With prop=None it never touches
+    the graph structure.
+
+    `view` = (x_aug, prop_aug, mask) adds the contrastive term: a second
+    forward on the augmented attributes, sharing the epoch's dropout stream,
+    and an InfoNCE loss between the two hidden representations on `mask`,
+    whose gradient flows through both views. The two losses are summed
+    unweighted.
+    """
     dtype = cfg.dtype
     x = feature_operand(g.features, dtype, g.feature_operands)
     if params is None:
         params = init_params(x.shape[1], cfg.hidden, g.num_classes, rng, dtype)
     state = AdamState.zeros_like(params)
+    zero_lp = None
     for epoch in range(epochs):
         calls0 = spmm_calls()
         t0 = time.perf_counter()
-        drop_rng = rng.substream(f"{stage_name}-dropout-{epoch}")
+        drop_rng = rng.substream(f"{stage_name}-dropout-{epoch}")  # shared by both views
         log_probs, cache = gcn_forward(params, x, prop, cfg.dropout, drop_rng, True)
         loss, grad_lp = nll_loss(log_probs, g.labels, g.splits.train)
-        grads = gcn_backward(cache, grad_lp)
+        if view is None:
+            grads = gcn_backward(cache, grad_lp)
+        else:
+            x_aug, prop_aug, mask = view
+            _, cache_aug = gcn_forward(params, x_aug, prop_aug, cfg.dropout, drop_rng, True)
+            loss_c, grad_h, grad_h_aug = infonce_loss(cache.h, cache_aug.h, mask, cfg.temperature)
+            loss = loss + loss_c
+            if zero_lp is None:
+                zero_lp = np.zeros_like(log_probs)
+            grads = _add_grads(
+                gcn_backward(cache, grad_lp, grad_hidden=grad_h),
+                gcn_backward(cache_aug, zero_lp, grad_hidden=grad_h_aug),
+            )
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay)
         stage.losses.append(_check_loss(loss, stage_name))
         stage.epoch_ms.append((time.perf_counter() - t0) * 1000.0)
-        stage.prop_passes.append(int(prop is not None))
+        stage.prop_passes.append(int(prop is not None) + int(view is not None))
         stage.spmm_calls.append(spmm_calls() - calls0)
     return params
 
@@ -265,29 +290,18 @@ def finetune(
     aug: AugmentedFeatures | None,
     cfg: TrainConfig,
     rng: RngState,
-    use_contrastive: bool,
     history: TrainingHistory | None = None,
     variant: str = "sfr",
 ) -> TrainedModel:
-    """Continue training from pretrained weights with propagation enabled.
-
-    Per epoch: one propagated forward on the true attributes (NLL on the
-    training mask) and, when contrastive, a second propagated forward on the
-    augmented attributes sharing the epoch's dropout stream; the contrastive
-    term compares the two hidden representations on the anchor nodes and its
-    gradient flows through both views. The two losses are summed unweighted.
+    """Continue training from pretrained weights with propagation enabled:
+    `_supervised_loop` through the graph, plus the contrastive term against
+    the augmented view `aug`. aug=None trains without the contrastive term.
     """
     cfg.validate()
-    if use_contrastive and aug is None:
-        raise ValidationError("contrastive fine-tuning needs an augmented view")
     history = history or TrainingHistory()
-    stage = history.finetune
-    dtype = cfg.dtype
-    params = params_p.copy()
     prop = normalize_adjacency(g.adjacency)
-    x = feature_operand(g.features, dtype, g.feature_operands)
-    if use_contrastive:
-        x_aug = feature_operand(aug.x_inter, dtype)
+    view = None
+    if aug is not None:
         prop_aug = (
             normalize_adjacency(aug.adjacency_override)
             if aug.adjacency_override is not None
@@ -296,39 +310,12 @@ def finetune(
         contrast_mask = g.splits.train & aug.replaced_mask
         if not contrast_mask.any():
             raise ValidationError("contrastive mask selects no training nodes")
-    state = AdamState.zeros_like(params)
-    zero_lp = None
-    for epoch in range(cfg.finetune_epochs):
-        calls0 = spmm_calls()
-        t0 = time.perf_counter()
-        drop_rng = rng.substream(f"finetune-dropout-{epoch}")  # shared by both views
-        log_probs, cache = gcn_forward(params, x, prop, cfg.dropout, drop_rng, True)
-        loss_f, grad_lp = nll_loss(log_probs, g.labels, g.splits.train)
-        passes = 1
-        if use_contrastive:
-            _, cache_aug = gcn_forward(params, x_aug, prop_aug, cfg.dropout, drop_rng, True)
-            passes += 1
-            loss_c, grad_h, grad_h_aug = infonce_loss(
-                cache.h, cache_aug.h, contrast_mask, cfg.temperature
-            )
-            if zero_lp is None:
-                zero_lp = np.zeros_like(log_probs)
-            grads = _add_grads(
-                gcn_backward(cache, grad_lp, grad_hidden=grad_h),
-                gcn_backward(cache_aug, zero_lp, grad_hidden=grad_h_aug),
-            )
-            loss = loss_f + loss_c
-        else:
-            grads = gcn_backward(cache, grad_lp)
-            loss = loss_f
-        adam_step(params, grads, state, cfg.lr, cfg.weight_decay)
-        stage.losses.append(_check_loss(loss, "finetune"))
-        stage.epoch_ms.append((time.perf_counter() - t0) * 1000.0)
-        stage.prop_passes.append(passes)
-        stage.spmm_calls.append(spmm_calls() - calls0)
-    return TrainedModel(
-        params=params, variant=variant, uses_prop=True, prop=prop, history=history
+        view = (feature_operand(aug.x_inter, cfg.dtype), prop_aug, contrast_mask)
+    params = _supervised_loop(
+        g, cfg, rng, prop=prop, epochs=cfg.finetune_epochs,
+        stage=history.finetune, stage_name="finetune", params=params_p.copy(), view=view,
     )
+    return TrainedModel(params=params, variant=variant, uses_prop=True, history=history)
 
 
 def jaccard_prune(g: Graph, threshold: float = JACCARD_THRESHOLD) -> Graph:
@@ -371,19 +358,16 @@ def train(g: Graph, cfg: TrainConfig, variant: str, rng: RngState) -> TrainedMod
 
     if variant in ("mlp", "sfr_no_fin"):
         params, _, history = pretrain(g, cfg, rng)
-        return TrainedModel(params=params, variant=variant, uses_prop=False,
-                            prop=None, history=history)
+        return TrainedModel(params=params, variant=variant, uses_prop=False, history=history)
 
     if variant in ("gcn", "gcn_jaccard"):
         target = jaccard_prune(g) if variant == "gcn_jaccard" else g
         history = TrainingHistory()
-        prop = normalize_adjacency(target.adjacency)
         params = _supervised_loop(
-            target, cfg, rng, prop=prop, epochs=cfg.pretrain_epochs,
-            stage=history.pretrain, stage_name="pretrain",
+            target, cfg, rng, prop=normalize_adjacency(target.adjacency),
+            epochs=cfg.pretrain_epochs, stage=history.pretrain, stage_name="pretrain",
         )
-        return TrainedModel(params=params, variant=variant, uses_prop=True,
-                            prop=prop, history=history)
+        return TrainedModel(params=params, variant=variant, uses_prop=True, history=history)
 
     params_p, _, history = pretrain(g, cfg, rng)
     if variant == "sfr":
@@ -394,12 +378,7 @@ def train(g: Graph, cfg: TrainConfig, variant: str, rng: RngState) -> TrainedMod
         aug = _ablation_view(g, rng, variant.split("_", 1)[1])
     else:  # sfr_no_cl
         aug = None
-    model = finetune(
-        g, params_p, aug, cfg, rng,
-        use_contrastive=variant != "sfr_no_cl",
-        history=history, variant=variant,
-    )
-    return model
+    return finetune(g, params_p, aug, cfg, rng, history=history, variant=variant)
 
 
 def predict(model: TrainedModel, g: Graph) -> tuple[np.ndarray, dict[str, float]]:

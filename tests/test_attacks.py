@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sfrgnn
 import sfrgnn.attacks as attacks_mod
 from sfrgnn.attacks import (
     GRAD_ATTACK_NODE_CAP,
@@ -19,7 +24,7 @@ from sfrgnn.attacks import (
     sgc_gradient_attack,
 )
 from sfrgnn.errors import CapacityError, ValidationError
-from sfrgnn.graph import csr_from_edge_pairs, graph_stats, normalize_adjacency
+from sfrgnn.graph import csr_from_edge_pairs, graph_stats, normalize_adjacency, write_graph
 from sfrgnn.nn import ModelParams, gcn_backward_wrt_prop, gcn_forward, init_params, nll_loss
 from sfrgnn.rng import RngState
 from sfrgnn.synth import sbm_graph
@@ -88,6 +93,25 @@ def test_dice_lowers_homophily():
 def test_dice_deterministic():
     g = dice_ready_sbm(7)
     assert dice_attack(g, 0.2, RngState(8)).flips == dice_attack(g, 0.2, RngState(8)).flips
+
+
+def test_dice_plan_is_pinned():
+    """A literal plan on a graph where five inter-class training pairs are
+    already edges, so the addition pool must leave them out, and both pools
+    are drawn from."""
+    g = sbm_graph([10, 10], p_in=0.4, p_out=0.15, seed=21, feature_dim=5,
+                  train_ratio=0.5, val_ratio=0.2)
+    pairs = g.adjacency.edge_pairs()
+    both_train = g.splits.train[pairs[:, 0]] & g.splits.train[pairs[:, 1]]
+    inter = g.labels[pairs[:, 0]] != g.labels[pairs[:, 1]]
+    assert np.count_nonzero(both_train & inter) == 5
+    plan = dice_attack(g, 0.2, RngState(3))
+    assert plan.budget == 10
+    assert plan.flips == [
+        ("remove", 3, 9), ("remove", 12, 19), ("remove", 17, 18), ("remove", 2, 9),
+        ("remove", 2, 8), ("add", 3, 13), ("add", 9, 12), ("add", 2, 18),
+        ("add", 2, 12), ("add", 3, 12),
+    ]
 
 
 def test_dice_single_class_training_degrades_to_random():
@@ -160,6 +184,86 @@ def test_plan_tsv_round_trip(tmp_path):
     assert loaded.flips == plan.flips
     assert loaded.budget == plan.budget
     assert loaded.ptb_ratio == plan.ptb_ratio
+
+
+def set_apply(g, plan):
+    """Reference `apply_perturbation`: the flips applied to a Python set of pairs."""
+    edges = {(int(u), int(v)) for u, v in g.adjacency.edge_pairs()}
+    for action, u, v in plan.flips:
+        key = (min(u, v), max(u, v))
+        if action == "remove":
+            edges.remove(key)
+        else:
+            edges.add(key)
+    pairs = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    return csr_from_edge_pairs(g.num_nodes, pairs)
+
+
+def set_stats(clean, perturbed):
+    """Reference `perturbation_stats` on Python sets of keys u * n + v."""
+    n = clean.num_nodes
+    clean_keys = {u * n + v for u, v in clean.adjacency.edge_pairs()}
+    pert_keys = {u * n + v for u, v in perturbed.adjacency.edge_pairs()}
+    added, removed = len(pert_keys - clean_keys), len(clean_keys - pert_keys)
+    return {
+        "added": added,
+        "removed": removed,
+        "ptb_ratio": (added + removed) / len(clean_keys) if clean_keys else 0.0,
+        "homophily_delta": graph_stats(perturbed).homophily_ratio
+        - graph_stats(clean).homophily_ratio,
+    }
+
+
+@pytest.mark.parametrize("case, seed", [
+    ("random", 50), ("random", 51), ("random", 52), ("dice", 53),
+    ("reversed", 54), ("empty", 55), ("round_trip", 56),
+])
+def test_set_arithmetic_matches_python_sets(case, seed, tmp_path):
+    g = dice_ready_sbm(seed)
+    if case == "dice":
+        plan = dice_attack(g, 0.3, RngState(seed))
+    elif case == "empty":
+        plan = PerturbationPlan(flips=[], budget=0, ptb_ratio=0.0)
+    else:
+        plan = random_flip_attack(g, 0.4, RngState(seed))
+    if case == "reversed":  # plan files may list a pair as v, u
+        plan.flips = [(a, v, u) if i % 2 else (a, u, v) for i, (a, u, v) in enumerate(plan.flips)]
+        assert any(u > v for _, u, v in plan.flips)
+    if case == "round_trip":
+        save_plan(plan, tmp_path / "plan.tsv")
+        plan = load_plan(tmp_path / "plan.tsv")
+    assert {a for a, _, _ in plan.flips} == (set() if case == "empty" else {"add", "remove"})
+
+    got = apply_perturbation(g, plan)
+    want = set_apply(g, plan)
+    for name in ("row_offsets", "col_indices", "values"):
+        a, b = getattr(got.adjacency, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), name
+    stats, ref = perturbation_stats(g, got), set_stats(g, got)
+    assert stats == ref
+    assert type(stats["added"]) is int and type(stats["removed"]) is int
+
+
+def test_attacks_run_without_loading_scipy(tmp_path):
+    """Importing sfrgnn, loading a graph and the DICE / apply / stats path are
+    NumPy only; scipy is loaded at the first propagation."""
+    write_graph(dice_ready_sbm(57), tmp_path)
+    script = (
+        "import sys\n"
+        "import sfrgnn\n"
+        "from sfrgnn.rng import RngState\n"
+        f"g = sfrgnn.load_graph({str(tmp_path)!r})\n"
+        "plan = sfrgnn.dice_attack(g, 0.2, RngState(1))\n"
+        "sfrgnn.perturbation_stats(g, sfrgnn.apply_perturbation(g, plan))\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = str(Path(sfrgnn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_gradient_attack_zero_budget():

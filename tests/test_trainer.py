@@ -150,17 +150,8 @@ def test_finetune_zero_epochs_returns_pretrain_params_bitwise():
     cfg = small_cfg(finetune_epochs=0)
     params_p, _, hist = pretrain(g, cfg, RngState(6))
     aug = internaa(g, RngState(6))
-    model = finetune(g, params_p, aug, cfg, RngState(6), use_contrastive=True, history=hist)
+    model = finetune(g, params_p, aug, cfg, RngState(6), history=hist)
     assert params_equal(model.params, params_p)
-
-
-def test_finetune_requires_contrast_view():
-    g = sbm_graph([5, 5], p_in=0.5, p_out=0.1, seed=9, feature_dim=4,
-                  train_ratio=0.4, val_ratio=0.2)
-    cfg = small_cfg()
-    params_p, _, _ = pretrain(g, cfg, RngState(2))
-    with pytest.raises(ValidationError):
-        finetune(g, params_p, None, cfg, RngState(2), use_contrastive=True)
 
 
 def test_finetune_improves_on_pretrain_for_homophilous_sbm():
@@ -265,7 +256,7 @@ def test_predict_uniform_logits_tie_breaks_to_class_zero():
     params = ModelParams(
         w1=np.zeros((4, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)), b2=np.zeros(2)
     )
-    model = TrainedModel(params=params, variant="mlp", uses_prop=False, prop=None,
+    model = TrainedModel(params=params, variant="mlp", uses_prop=False,
                          history=TrainingHistory())
     pred, accs = predict(model, g)
     np.testing.assert_array_equal(pred, 0)
@@ -287,7 +278,7 @@ def test_predict_perfect_logits():
     for node, lab in enumerate(g.labels):
         w2[node, lab] = 10.0
     params = ModelParams(w1=w1, b1=np.zeros(3), w2=w2, b2=np.zeros(2))
-    model = TrainedModel(params=params, variant="mlp", uses_prop=False, prop=None,
+    model = TrainedModel(params=params, variant="mlp", uses_prop=False,
                          history=TrainingHistory())
     _, accs = predict(model, g)
     assert accs["train"] == 1.0

@@ -20,6 +20,7 @@ from .graph import (
     CsrAdjacency,
     Graph,
     csr_from_edge_pairs,
+    csr_from_keys,
     graph_stats,
     normalize_adjacency,
 )
@@ -84,12 +85,6 @@ def _flip_budget(g: Graph, ptb_ratio: float) -> int:
     return int(round(ptb_ratio * (g.adjacency.nnz // 2)))
 
 
-def _edge_keys(adj: CsrAdjacency) -> np.ndarray:
-    """The undirected edges as ascending int64 keys u * n + v with u < v."""
-    pairs = adj.edge_pairs()  # already in key order
-    return pairs[:, 0] * adj.dim + pairs[:, 1]
-
-
 def _action_for(g: Graph, u: int, v: int) -> str:
     return "remove" if g.adjacency.has_entry(u, v) else "add"
 
@@ -145,7 +140,7 @@ def dice_attack(g: Graph, ptb_ratio: float, rng: RngState) -> PerturbationPlan:
     cand_u, cand_v = ti[upper], tj[upper]
     diff_class = labels[cand_u] != labels[cand_v]
     cand_u, cand_v = cand_u[diff_class], cand_v[diff_class]
-    absent = np.isin(cand_u * g.num_nodes + cand_v, _edge_keys(g.adjacency), invert=True)
+    absent = np.isin(cand_u * g.num_nodes + cand_v, g.adjacency.edge_keys(), invert=True)
     addition_pool = np.stack([cand_u[absent], cand_v[absent]], axis=1)
 
     n_remove = min(budget // 2, removal_pool.shape[0])
@@ -194,7 +189,7 @@ class _ExactFlipLoss:
         labels: np.ndarray, train_mask: np.ndarray,
     ) -> None:
         self.adj, self.head, self.labels, self.train_mask = adj, head, labels, train_mask
-        self.prop = normalize_adjacency(adj, validate=False)
+        self.prop = normalize_adjacency(adj)
         log_probs, self.cache = gcn_forward(head, a1, self.prop, 0.0, None, False)
         self.loss, self.grad_log_probs = nll_loss(log_probs, labels, train_mask)
         train_ids = np.flatnonzero(train_mask)
@@ -207,20 +202,15 @@ class _ExactFlipLoss:
         self, rows: np.ndarray, u: int, v: int, add: bool, deg_tilde: np.ndarray
     ) -> CsrAdjacency:
         """Post-toggle propagation rows `rows` (sorted) in an N x N matrix."""
-        src, dst = _row_entries(self.prop, rows)
-        if add:
-            ends = np.array([[u, v], [v, u]])[[u in rows, v in rows]]
-            src, dst = np.concatenate([src, ends[:, 0]]), np.concatenate([dst, ends[:, 1]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-        else:
-            keep = ~(((src == u) & (dst == v)) | ((src == v) & (dst == u)))
-            src, dst = src[keep], dst[keep]
         n = self.adj.dim
-        row_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=row_offsets[1:])
-        values = 1.0 / np.sqrt(deg_tilde[src] * deg_tilde[dst])
-        return CsrAdjacency(row_offsets=row_offsets, col_indices=dst, values=values, dim=n)
+        src, dst = _row_entries(self.prop, rows)
+        keys = src * n + dst  # ascending: rows sorted, columns sorted per row
+        ends = np.array([u * n + v, v * n + u])
+        if add:
+            keys = np.sort(np.concatenate([keys, ends[[u in rows, v in rows]]]))
+        else:
+            keys = keys[(keys != ends[0]) & (keys != ends[1])]
+        return csr_from_keys(n, keys, deg_tilde)
 
     def loss_with(self, u: int, v: int) -> float:
         add = not self.adj.has_entry(u, v)
@@ -283,13 +273,13 @@ def _ranked_flips(
     n = adj.dim
     u_fac, v_fac = gcn_backward_wrt_prop(exact.cache, exact.grad_log_probs)
     left, right = np.hstack([u_fac, v_fac]), np.hstack([v_fac, u_fac])
-    deg_tilde = adj.degrees().astype(np.float64) + 1.0
+    deg_tilde = exact.deg_tilde
     s = 1.0 / np.sqrt(deg_tilde)
     s_add = 1.0 / np.sqrt(deg_tilde + 1.0)
     # removals only apply to existing edges, so deg >= 1 and deg_tilde-1 >= 1
     s_rem = 1.0 / np.sqrt(np.maximum(deg_tilde - 1.0, 1.0))
 
-    rows = np.repeat(np.arange(n), adj.degrees())
+    rows = adj.entry_rows()
     cols = adj.col_indices
     gdiag = np.einsum("ij,ij->i", u_fac, v_fac)
     gsym_edges = np.einsum("ij,ij->i", left[rows], right[cols])
@@ -392,7 +382,7 @@ def sgc_gradient_attack(
     head = ModelParams(np.eye(a1.shape[1]), params64.b1, params64.w2, params64.b2)
 
     n = g.num_nodes
-    edge_keys = _edge_keys(g.adjacency)
+    edge_keys = g.adjacency.edge_keys()
     flipped_keys = np.empty(0, dtype=np.int64)
     relinearize_every = max(budget // 10, 1)
 
@@ -436,7 +426,7 @@ def apply_perturbation(g: Graph, plan: PerturbationPlan) -> Graph:
     # a validated plan names each pair once, removes only present edges and
     # adds only absent ones, so toggling its keys applies it
     flipped = np.array([min(u, v) * n + max(u, v) for _, u, v in plan.flips], dtype=np.int64)
-    keys = np.setxor1d(_edge_keys(g.adjacency), flipped)
+    keys = np.setxor1d(g.adjacency.edge_keys(), flipped)
     return g.with_adjacency(csr_from_edge_pairs(n, np.stack([keys // n, keys % n], axis=1)))
 
 
@@ -451,7 +441,7 @@ def invert_plan(plan: PerturbationPlan) -> PerturbationPlan:
 def perturbation_stats(clean: Graph, perturbed: Graph) -> dict[str, float]:
     if clean.num_nodes != perturbed.num_nodes:
         raise ValidationError("graphs have different node counts")
-    clean_keys, pert_keys = _edge_keys(clean.adjacency), _edge_keys(perturbed.adjacency)
+    clean_keys, pert_keys = clean.adjacency.edge_keys(), perturbed.adjacency.edge_keys()
     added = np.setdiff1d(pert_keys, clean_keys).shape[0]
     removed = np.setdiff1d(clean_keys, pert_keys).shape[0]
     e_clean = clean_keys.shape[0]

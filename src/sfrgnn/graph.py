@@ -10,6 +10,10 @@ A dataset directory holds:
 
 Adjacencies are stored symmetric, binary, zero-diagonal; self-loops exist only
 inside the normalized propagation matrix returned by `normalize_adjacency`.
+
+Entry (i, j) of an N x N matrix has the int64 key i * N + j, so ascending
+keys are row-major order. Every CSR the package builds from entries comes out
+of `csr_from_keys`, which takes them as a sorted key array.
 """
 
 from __future__ import annotations
@@ -49,17 +53,25 @@ class CsrAdjacency:
     def degrees(self) -> np.ndarray:
         return np.diff(self.row_offsets)
 
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry, in stored order."""
+        return np.repeat(np.arange(self.dim), self.degrees())
+
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.dim, self.dim))
-        rows = np.repeat(np.arange(self.dim), self.degrees())
-        dense[rows, self.col_indices] = self.values
+        dense[self.entry_rows(), self.col_indices] = self.values
         return dense
 
-    def edge_pairs(self) -> np.ndarray:
-        """Undirected edges as an (E, 2) array with u < v in each row."""
-        rows = np.repeat(np.arange(self.dim), self.degrees())
+    def edge_keys(self) -> np.ndarray:
+        """The undirected edges as ascending int64 keys u * n + v with u < v."""
+        rows = self.entry_rows()
         upper = rows < self.col_indices
-        return np.stack([rows[upper], self.col_indices[upper]], axis=1)
+        return rows[upper] * self.dim + self.col_indices[upper]
+
+    def edge_pairs(self) -> np.ndarray:
+        """Undirected edges as an (E, 2) array with u < v in each row, in key order."""
+        keys = self.edge_keys()
+        return np.stack([keys // self.dim, keys % self.dim], axis=1)
 
     def validate(self, binary: bool = True) -> None:
         ro, ci = self.row_offsets, self.col_indices
@@ -67,20 +79,19 @@ class CsrAdjacency:
             raise ValidationError("CSR row_offsets inconsistent with dim/nnz")
         if np.any(np.diff(ro) < 0):
             raise ValidationError("CSR row_offsets must be non-decreasing")
-        rows = np.repeat(np.arange(self.dim), np.diff(ro))
+        rows = self.entry_rows()
+        keys = rows * self.dim + ci
         if ci.shape[0]:
             if ci.min() < 0 or ci.max() >= self.dim:
                 raise ValidationError("CSR column index out of range")
-            same_row = rows[1:] == rows[:-1]
-            if np.any(same_row & (ci[1:] <= ci[:-1])):
+            # with columns in range, keys ascend iff each row's columns do
+            if np.any(keys[1:] <= keys[:-1]):
                 raise ValidationError("CSR columns must be sorted and unique per row")
         if np.any(rows == ci):
             raise ValidationError("adjacency must have a zero diagonal")
         if binary and ci.shape[0] and not np.all(self.values == 1.0):
             raise ValidationError("adjacency values must all be 1")
-        fwd = np.sort(rows * self.dim + ci)
-        rev = np.sort(ci * self.dim + rows)
-        if not np.array_equal(fwd, rev):
+        if not np.array_equal(keys, np.sort(ci * self.dim + rows)):
             raise ValidationError("adjacency is not structurally symmetric")
 
 
@@ -147,6 +158,19 @@ class Graph:
         )
 
 
+def csr_from_keys(n: int, keys: np.ndarray, deg_tilde: np.ndarray | None = None) -> CsrAdjacency:
+    """The n x n CSR with an entry at each ascending int64 key i * n + j, valued
+    1, or 1/sqrt(deg_tilde_i * deg_tilde_j) when `deg_tilde` is given."""
+    rows, cols = keys // n, keys % n
+    if deg_tilde is None:
+        values = np.ones(keys.shape[0])
+    else:
+        values = 1.0 / np.sqrt(deg_tilde[rows] * deg_tilde[cols])
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_offsets[1:])
+    return CsrAdjacency(row_offsets, cols, values, n)
+
+
 def csr_from_edge_pairs(n: int, pairs: np.ndarray) -> CsrAdjacency:
     """Build a symmetric binary CSR from undirected (u, v) pairs.
 
@@ -154,55 +178,25 @@ def csr_from_edge_pairs(n: int, pairs: np.ndarray) -> CsrAdjacency:
     undirected edge.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.shape[0]:
-        if pairs.min() < 0 or pairs.max() >= n:
-            raise ValidationError(f"edge endpoint out of range [0, {n})")
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            raise ValidationError("self-loop edges are not allowed")
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        keys = np.unique(lo * n + hi)
-        lo, hi = keys // n, keys % n
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-    else:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=row_offsets[1:])
-    return CsrAdjacency(
-        row_offsets=row_offsets,
-        col_indices=dst,
-        values=np.ones(dst.shape[0], dtype=np.float64),
-        dim=n,
-    )
+    if pairs.shape[0] and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValidationError(f"edge endpoint out of range [0, {n})")
+    if np.any(pairs[:, 0] == pairs[:, 1]):
+        raise ValidationError("self-loop edges are not allowed")
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    upper = np.unique(lo * n + hi)
+    return csr_from_keys(n, np.sort(np.concatenate([upper, (upper % n) * n + upper // n])))
 
 
-def normalize_adjacency(adj: CsrAdjacency, validate: bool = True) -> CsrAdjacency:
+def normalize_adjacency(adj: CsrAdjacency) -> CsrAdjacency:
     """Symmetric propagation matrix: self-loops added, entry (i,j) = 1/sqrt(dt_i*dt_j)
-    with dt_i = degree_i + 1. Isolated nodes keep a unit diagonal entry.
-
-    `validate=False` skips the precondition checks; callers may use it only on
-    adjacencies that came straight out of a trusted constructor."""
-    if validate:
-        adj.validate(binary=True)
+    with dt_i = degree_i + 1. Isolated nodes keep a unit diagonal entry. Raises
+    ValidationError unless `adj` is a valid symmetric, binary, zero-diagonal
+    adjacency."""
+    adj.validate(binary=True)
     n = adj.dim
-    deg_tilde = adj.degrees().astype(np.float64) + 1.0
-    rows = np.repeat(np.arange(n), adj.degrees())
-    src = np.concatenate([rows, np.arange(n)])
-    dst = np.concatenate([adj.col_indices, np.arange(n)])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=row_offsets[1:])
-    return CsrAdjacency(
-        row_offsets=row_offsets,
-        col_indices=dst,
-        values=1.0 / np.sqrt(deg_tilde[src] * deg_tilde[dst]),
-        dim=n,
-    )
+    keys = np.concatenate([adj.entry_rows() * n + adj.col_indices, np.arange(n) * (n + 1)])
+    return csr_from_keys(n, np.sort(keys), adj.degrees().astype(np.float64) + 1.0)
 
 
 def make_split(n: int, train_ratio: float, val_ratio: float, seed: int) -> SplitMasks:

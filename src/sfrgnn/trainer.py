@@ -198,18 +198,16 @@ def _supervised_loop(
 
 def pretrain(
     g: Graph, cfg: TrainConfig, rng: RngState, history: TrainingHistory | None = None
-) -> tuple[ModelParams, np.ndarray, TrainingHistory]:
+) -> tuple[ModelParams, TrainingHistory]:
     """Train on attributes only (propagation disabled); the adjacency is never
-    read. Returns the trained params, eval-mode embeddings, and history."""
+    read. Returns the trained params and the history."""
     cfg.validate()
     history = history or TrainingHistory()
     params = _supervised_loop(
         g, cfg, rng, prop=None, epochs=cfg.pretrain_epochs,
         stage=history.pretrain, stage_name="pretrain",
     )
-    x = feature_operand(g.features, cfg.dtype, g.feature_operands)
-    z_p, _ = gcn_forward(params, x, None, cfg.dropout, None, False)
-    return params, z_p, history
+    return params, history
 
 
 def internaa(g: Graph, rng: RngState, subsample_ratio: float = 1.0) -> AugmentedFeatures:
@@ -357,7 +355,7 @@ def train(g: Graph, cfg: TrainConfig, variant: str, rng: RngState) -> TrainedMod
     g.validate()
 
     if variant in ("mlp", "sfr_no_fin"):
-        params, _, history = pretrain(g, cfg, rng)
+        params, history = pretrain(g, cfg, rng)
         return TrainedModel(params=params, variant=variant, uses_prop=False, history=history)
 
     if variant in ("gcn", "gcn_jaccard"):
@@ -369,7 +367,7 @@ def train(g: Graph, cfg: TrainConfig, variant: str, rng: RngState) -> TrainedMod
         )
         return TrainedModel(params=params, variant=variant, uses_prop=True, history=history)
 
-    params_p, _, history = pretrain(g, cfg, rng)
+    params_p, history = pretrain(g, cfg, rng)
     if variant == "sfr":
         aug = internaa(g, rng, cfg.internaa_ratio)
     elif variant == "sfr_ran":

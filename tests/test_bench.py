@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -50,6 +51,22 @@ def test_run_experiment_bookkeeping(sbm_dir):
     accs = np.array([t.clean_acc["test"] for t in report.trials])
     assert agg["clean_test_mean"] == pytest.approx(float(accs.mean()))
     assert agg["clean_test_std"] == pytest.approx(float(accs.std()))  # population std
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_threaded_trials_match_serial(sbm_dir, monkeypatch, threads):
+    spec = ExperimentSpec(dataset=str(sbm_dir), variants=["mlp", "gcn", "sfr"],
+                          attack="dice", ptb_ratio=0.1, repeats=2, base_seed=6,
+                          config=quick_cfg())
+
+    def trials(value):
+        monkeypatch.setenv("SFR_THREADS", value)
+        return [
+            {k: v for k, v in asdict(t).items() if not k.endswith("_epoch_ms")}
+            for t in run_experiment(spec).trials
+        ]
+
+    assert trials(threads) == trials("1")
 
 
 def test_attack_none_clean_equals_attacked(sbm_dir):

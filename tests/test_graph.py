@@ -6,6 +6,7 @@ import pytest
 
 from sfrgnn.errors import DatasetFormatError, ValidationError
 from sfrgnn.graph import (
+    csr_from_edge_pairs,
     graph_stats,
     load_graph,
     make_split,
@@ -146,6 +147,71 @@ def test_normalize_symmetric_and_within_one_ulp_on_random_graphs():
         for i, j, v in zip(rows, prop.col_indices, prop.values):
             ref = 1.0 / math.sqrt(deg_tilde[i] * deg_tilde[j])
             assert abs(v - ref) <= math.ulp(ref)
+
+
+def _reference_csr(n, src, dst, deg_tilde=None):
+    """CSR laid out entry by entry with lexsort and bincount."""
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=row_offsets[1:])
+    if deg_tilde is None:
+        values = np.ones(dst.shape[0], dtype=np.float64)
+    else:
+        values = 1.0 / np.sqrt(deg_tilde[src] * deg_tilde[dst])
+    return row_offsets, dst, values
+
+
+def _reference_pairs_csr(n, pairs):
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    keys = np.unique(lo * n + hi)
+    lo, hi = keys // n, keys % n
+    return _reference_csr(n, np.concatenate([lo, hi]), np.concatenate([hi, lo]))
+
+
+def _reference_normalized(n, pairs):
+    row_offsets, cols, _ = _reference_pairs_csr(n, pairs)
+    degrees = np.diff(row_offsets)
+    rows = np.repeat(np.arange(n), degrees)
+    return _reference_csr(
+        n,
+        np.concatenate([rows, np.arange(n)]),
+        np.concatenate([cols, np.arange(n)]),
+        degrees.astype(np.float64) + 1.0,
+    )
+
+
+def _random_pairs(seed):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(2, 60))
+    pairs = gen.integers(0, n, size=(int(gen.integers(0, 3 * n)), 2))
+    return n, pairs[pairs[:, 0] != pairs[:, 1]]
+
+
+CSR_CASES = {
+    "single_node": (1, np.empty((0, 2), dtype=np.int64)),
+    "edgeless": (5, np.empty((0, 2), dtype=np.int64)),
+    "isolated_nodes": (7, np.array([[1, 4], [4, 2]])),
+    "duplicate_and_reversed": (4, np.array([[0, 1], [1, 0], [0, 1], [3, 2], [2, 3], [1, 3]])),
+    **{f"random_{seed}": _random_pairs(seed) for seed in range(12)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSR_CASES))
+def test_csr_layout_matches_entrywise_reference(case):
+    n, pairs = CSR_CASES[case]
+    adj = csr_from_edge_pairs(n, pairs)
+    prop = normalize_adjacency(adj)
+    for got, want in (
+        (adj, _reference_pairs_csr(n, pairs)),
+        (prop, _reference_normalized(n, pairs)),
+    ):
+        assert got.dim == n
+        for arr, ref in zip((got.row_offsets, got.col_indices, got.values), want):
+            assert arr.dtype == ref.dtype and arr.shape == ref.shape
+            assert np.all(arr == ref)
 
 
 def test_make_split_floor_counts():

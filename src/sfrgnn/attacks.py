@@ -160,10 +160,7 @@ def dice_attack(g: Graph, ptb_ratio: float, rng: RngState) -> PerturbationPlan:
 
 def _row_entries(m: CsrAdjacency, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) of every stored entry in the given rows, in stored order."""
-    starts = m.row_offsets[rows]
-    counts = m.row_offsets[rows + 1] - starts
-    idx = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    idx += np.arange(idx.shape[0])
+    counts, idx = m.entries_of(rows)
     return np.repeat(rows, counts), m.col_indices[idx]
 
 
@@ -190,7 +187,7 @@ class _ExactFlipLoss:
     ) -> None:
         self.adj, self.head, self.labels, self.train_mask = adj, head, labels, train_mask
         self.prop = normalize_adjacency(adj)
-        log_probs, self.cache = gcn_forward(head, a1, self.prop, 0.0, None, False)
+        log_probs, self.cache = gcn_forward(head, a1, self.prop)
         self.loss, self.grad_log_probs = nll_loss(log_probs, labels, train_mask)
         train_ids = np.flatnonzero(train_mask)
         self.picked = log_probs[train_ids, labels[train_ids]]

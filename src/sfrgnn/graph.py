@@ -35,6 +35,7 @@ class CsrAdjacency:
     col_indices: np.ndarray  # int64, length nnz
     values: np.ndarray  # float64, length nnz
     dim: int
+    cols: int | None = None  # column count of a rectangular block; None: dim
     # scipy copies of this matrix by dtype, filled by `nn.spmm`
     scipy_by_dtype: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -42,8 +43,42 @@ class CsrAdjacency:
     def nnz(self) -> int:
         return int(self.col_indices.shape[0])
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim if self.cols is None else self.cols)
+
     def row(self, i: int) -> np.ndarray:
         return self.col_indices[self.row_offsets[i] : self.row_offsets[i + 1]]
+
+    def entries_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(entries per row, positions of the entries) of the given rows; the
+        positions row after row, each row's in stored order."""
+        starts = self.row_offsets[rows]
+        counts = self.row_offsets[rows + 1] - starts
+        idx = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        idx += np.arange(idx.shape[0])
+        return counts, idx
+
+    def reach(self, rows: np.ndarray) -> np.ndarray:
+        """Ascending ids of `rows` and of every column stored in them."""
+        hit = np.zeros(self.dim, dtype=bool)
+        hit[rows] = True
+        hit[self.col_indices[self.entries_of(rows)[1]]] = True
+        return np.flatnonzero(hit)
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> "CsrAdjacency":
+        """The submatrix at the ascending ids `rows` and `cols`: the stored
+        entries of `rows` whose column is in `cols`, renumbered, with their
+        values, each row's in stored order."""
+        counts, idx = self.entries_of(rows)
+        pos = np.full(self.shape[1], -1, dtype=np.int64)
+        pos[cols] = np.arange(cols.shape[0])
+        local = pos[self.col_indices[idx]]
+        keep = local >= 0
+        keys = np.repeat(np.arange(rows.shape[0]), counts)[keep] * cols.shape[0] + local[keep]
+        return csr_from_keys(
+            rows.shape[0], keys, values=self.values[idx[keep]], cols=cols.shape[0]
+        )
 
     def has_entry(self, i: int, j: int) -> bool:
         row = self.row(i)
@@ -158,17 +193,26 @@ class Graph:
         )
 
 
-def csr_from_keys(n: int, keys: np.ndarray, deg_tilde: np.ndarray | None = None) -> CsrAdjacency:
-    """The n x n CSR with an entry at each ascending int64 key i * n + j, valued
-    1, or 1/sqrt(deg_tilde_i * deg_tilde_j) when `deg_tilde` is given."""
-    rows, cols = keys // n, keys % n
-    if deg_tilde is None:
+def csr_from_keys(
+    n: int,
+    keys: np.ndarray,
+    deg_tilde: np.ndarray | None = None,
+    values: np.ndarray | None = None,
+    cols: int | None = None,
+) -> CsrAdjacency:
+    """The n x n CSR, or n x `cols`, with an entry at each ascending int64 key
+    i * width + j (width = `cols`, default n). Entries take `values` (in key
+    order), else 1/sqrt(deg_tilde_i * deg_tilde_j) when `deg_tilde` is given
+    (square only), else 1."""
+    width = n if cols is None else cols
+    rows, col_ids = keys // width, keys % width
+    if values is None and deg_tilde is None:
         values = np.ones(keys.shape[0])
-    else:
-        values = 1.0 / np.sqrt(deg_tilde[rows] * deg_tilde[cols])
+    elif values is None:
+        values = 1.0 / np.sqrt(deg_tilde[rows] * deg_tilde[col_ids])
     row_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=row_offsets[1:])
-    return CsrAdjacency(row_offsets, cols, values, n)
+    return CsrAdjacency(row_offsets, col_ids, values, n, cols)
 
 
 def csr_from_edge_pairs(n: int, pairs: np.ndarray) -> CsrAdjacency:
@@ -292,15 +336,20 @@ def _json_int(value, what: str) -> int:
 def load_graph(dataset_dir: str | Path, split_seed: int = 0) -> Graph:
     """Load a dataset directory into a validated Graph.
 
-    Duplicate / reversed edge lines are deduplicated; self-loop lines are
-    rejected. If splits.json is absent, a 10/10/80 split is generated
-    deterministically from `split_seed`.
+    Duplicate / reversed edge lines are deduplicated; self-loop lines and
+    non-finite features are rejected. If splits.json is absent, a 10/10/80
+    split is generated deterministically from `split_seed`.
     """
     dataset_dir = Path(dataset_dir)
     if not dataset_dir.is_dir():
         raise DatasetFormatError(f"not a dataset directory: {dataset_dir}")
     features = _load_features(dataset_dir)
     n = features.shape[0]
+    # Training reads only the rows near the training nodes, so a NaN elsewhere
+    # would surface only at prediction; the scan costs about 2.5 ms at 2708 x 1433.
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.shape[0]:
+        raise DatasetFormatError(f"features row {bad[0]} holds a non-finite value")
 
     label_lines = _read_lines(dataset_dir / "labels.tsv")
     labels = []

@@ -13,6 +13,12 @@ Propagation is the one edge-dependent kernel: a scipy CSR product, which
 accumulates each output row in stored column order, so it is bitwise
 deterministic run to run.
 
+A pass computes every row, or only the rows of a `RowPlan`: layer 2 on the
+rows a loss reads, layer 1 on the rows those read, x on the rows layer 1
+reads, with P sliced to match. Each row is the same computation either way:
+a row of a sliced P holds the row's entries of P in stored order, and the
+dropout mask is drawn for all N rows and then cut.
+
 The feature matrix enters the products x @ w1 and x.T @ da1 as the operand
 `feature_operand` returns: scipy CSR when at most FEATURE_CSR_MAX_DENSITY of
 its entries are nonzero (bag-of-words inputs such as Cora's, 1.3%), else the
@@ -57,15 +63,15 @@ def spmm(adj: CsrAdjacency, h: np.ndarray) -> np.ndarray:
     The scipy matrix is built at the first propagation in each dtype and kept
     on `adj` for the next ones; no caller writes to a CsrAdjacency's arrays
     after constructing it."""
-    if adj.dim != h.shape[0]:
-        raise ValidationError(f"spmm dimension mismatch: {adj.dim} vs {h.shape[0]}")
+    if adj.shape[1] != h.shape[0]:
+        raise ValidationError(f"spmm dimension mismatch: {adj.shape[1]} vs {h.shape[0]}")
     _counter.calls = getattr(_counter, "calls", 0) + 1
     matrix = adj.scipy_by_dtype.get(h.dtype)
     if matrix is None:
         from scipy.sparse import csr_matrix
 
         values = adj.values.astype(h.dtype, copy=False)
-        matrix = csr_matrix((values, adj.col_indices, adj.row_offsets), shape=(adj.dim, adj.dim))
+        matrix = csr_matrix((values, adj.col_indices, adj.row_offsets), shape=adj.shape)
         adj.scipy_by_dtype[h.dtype] = matrix
     return matrix @ h
 
@@ -158,9 +164,50 @@ def vector_to_params(vec: np.ndarray, like: ModelParams) -> ModelParams:
 
 
 @dataclass
+class RowPlan:
+    """The rows a two-layer pass computes and its propagation operands.
+
+    A loss that reads only the output rows T needs layer 2 on T, layer 1 on
+    the rows R1 that layer 2 reads (T and their neighbours) and x on the rows
+    R2 that layer 1 reads (R1 and their neighbours). The forward products are
+    P[R1, R2] and P[T, R1], the backward ones P[R1, T] and P[R2, R1]; for the
+    whole graph all four are P. Without propagation R1 = R2 = T. `None` rows
+    mean every row. Dropout is drawn for all `num_nodes` rows and cut to R1,
+    so a subset pass keeps the random stream of the full one.
+    """
+
+    num_nodes: int
+    hidden_rows: np.ndarray | None = None  # R1
+    input_rows: np.ndarray | None = None  # R2
+    layer1: CsrAdjacency | None = None  # P[R1, R2]
+    layer2: CsrAdjacency | None = None  # P[T, R1]
+    back2: CsrAdjacency | None = None  # P[R1, T]
+    back1: CsrAdjacency | None = None  # P[R2, R1]
+
+    @classmethod
+    def full(cls, prop: CsrAdjacency | None, num_nodes: int) -> "RowPlan":
+        return cls(num_nodes, layer1=prop, layer2=prop, back2=prop, back1=prop)
+
+    @classmethod
+    def closure(cls, prop: CsrAdjacency | None, out_rows: np.ndarray, num_nodes: int) -> "RowPlan":
+        """The plan of a loss on the ascending ids `out_rows`. Each sliced
+        matrix keeps its rows' stored entries in stored order, so every row
+        it computes is summed as in the full product."""
+        if prop is None:
+            return cls(num_nodes, out_rows, out_rows)
+        r1 = prop.reach(out_rows)
+        r2 = prop.reach(r1)
+        return cls(
+            num_nodes, r1, r2,
+            prop.block(r1, r2), prop.block(out_rows, r1),
+            prop.block(r1, out_rows), prop.block(r2, r1),
+        )
+
+
+@dataclass
 class ForwardCache:
     x: np.ndarray  # or the scipy CSR operand of `feature_operand`
-    prop: CsrAdjacency | None
+    plan: RowPlan
     a1: np.ndarray  # x @ w1
     h: np.ndarray  # post-ReLU, pre-dropout hidden
     hd: np.ndarray  # hidden after dropout (== h in eval mode)
@@ -195,43 +242,52 @@ def gcn_log_probs(s2: np.ndarray, b2: np.ndarray) -> np.ndarray:
     return _log_softmax(logits)
 
 
+def dropout_mask(rng: RngState, shape: tuple[int, int], dropout_p: float) -> np.ndarray | None:
+    """Keep mask of inverted dropout at rate `dropout_p`, drawn from rng's
+    "dropout" substream; None when dropout_p is 0."""
+    if dropout_p == 0.0:
+        return None
+    return rng.substream("dropout").generator().random(shape) < 1.0 - dropout_p
+
+
 def gcn_forward(
     params: ModelParams,
     x: np.ndarray,
-    prop: CsrAdjacency | None,
-    dropout_p: float,
-    rng: RngState | None,
-    train_mode: bool,
+    prop: CsrAdjacency | RowPlan | None,
+    dropout_p: float = 0.0,
+    keep_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Two-layer forward pass. With prop=None the propagation step is skipped
-    (pure MLP over attributes); dropout hits the hidden layer in train mode
-    only. Returns row-wise log-softmax and the cache backward needs."""
+    (pure MLP over attributes); a CsrAdjacency P computes every row; a
+    RowPlan computes its rows, with x given on its input rows. Dropout at
+    rate `dropout_p` hits the hidden layer when a `keep_mask` is given, drawn
+    by `dropout_mask` for every row (train mode); without one the pass is in
+    eval mode. Returns row-wise log-softmax of the output rows and the cache
+    backward needs."""
     if not (0.0 <= dropout_p < 1.0):
         raise ValidationError("dropout_p must lie in [0, 1)")
     dtype = params.w1.dtype
     x = x.astype(dtype, copy=False)
+    plan = prop if isinstance(prop, RowPlan) else RowPlan.full(prop, x.shape[0])
 
     a1 = x @ params.w1
-    s1 = spmm(prop, a1) if prop is not None else a1
+    s1 = spmm(plan.layer1, a1) if plan.layer1 is not None else a1
     h = gcn_hidden(s1, params.b1)
 
-    if train_mode and dropout_p > 0.0:
-        if rng is None:
-            raise ValidationError("train-mode dropout needs an RNG stream")
-        keep = 1.0 - dropout_p
-        mask = rng.substream("dropout").generator().random(h.shape) < keep
-        drop_scale = (mask / keep).astype(dtype)
+    drop_scale = None
+    hd = h
+    if keep_mask is not None:
+        if plan.hidden_rows is not None:
+            keep_mask = keep_mask[plan.hidden_rows]
+        drop_scale = (keep_mask / (1.0 - dropout_p)).astype(dtype)
         hd = h * drop_scale
-    else:
-        drop_scale = None
-        hd = h
 
     a2 = hd @ params.w2
-    s2 = spmm(prop, a2) if prop is not None else a2
+    s2 = spmm(plan.layer2, a2) if plan.layer2 is not None else a2
     log_probs = gcn_log_probs(s2, params.b2)
 
     cache = ForwardCache(
-        x=x, prop=prop, a1=a1, h=h, hd=hd, drop_scale=drop_scale,
+        x=x, plan=plan, a1=a1, h=h, hd=hd, drop_scale=drop_scale,
         log_probs=log_probs, params=params,
     )
     return log_probs, cache
@@ -243,7 +299,8 @@ def _backward_to_s1(cache: ForwardCache, grad_log_probs, grad_hidden):
     probs = np.exp(cache.log_probs)
     dlogits = grad_log_probs - probs * grad_log_probs.sum(axis=1, keepdims=True)
     dlogits = dlogits.astype(p.w1.dtype, copy=False)
-    da2 = spmm(cache.prop, dlogits) if cache.prop is not None else dlogits
+    back2 = cache.plan.back2
+    da2 = spmm(back2, dlogits) if back2 is not None else dlogits
     dhd = da2 @ p.w2.T
     dh = dhd * cache.drop_scale if cache.drop_scale is not None else dhd
     if grad_hidden is not None:
@@ -264,7 +321,8 @@ def gcn_backward(
     """
     p = cache.params
     dlogits, da2, ds1 = _backward_to_s1(cache, grad_log_probs, grad_hidden)
-    da1 = spmm(cache.prop, ds1) if cache.prop is not None else ds1
+    back1 = cache.plan.back1
+    da1 = spmm(back1, ds1) if back1 is not None else ds1
     return ParamGrads(
         w1=cache.x.T @ da1,
         b1=ds1.sum(axis=0),
@@ -281,8 +339,8 @@ def gcn_backward_wrt_prop(
     N x (C + F) arrays. The gradient has rank at most C + F, so callers
     contract the factors instead of forming the N x N matrix.
     """
-    if cache.prop is None:
-        raise ValidationError("no propagation matrix in this forward pass")
+    if cache.plan.layer1 is None or cache.plan.hidden_rows is not None:
+        raise ValidationError("needs a full-graph forward pass with propagation")
     dlogits, _, ds1 = _backward_to_s1(cache, grad_log_probs, None)
     a2 = cache.hd @ cache.params.w2
     u = np.hstack([dlogits, ds1]).astype(np.float64, copy=False)
@@ -311,26 +369,34 @@ def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def infonce_loss(
-    z: np.ndarray, z_aug: np.ndarray, mask: np.ndarray, temperature: float
+    z: np.ndarray,
+    z_aug: np.ndarray,
+    mask: np.ndarray,
+    temperature: float,
+    mask_aug: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Masked InfoNCE with cosine similarity.
 
     Anchors are the masked rows of z, positives the same rows of z_aug,
-    negatives all other masked rows of z_aug. Analytic gradients flow to both
-    inputs; rows outside the mask get zero gradient. Zero-norm rows are
-    clamped at NORM_EPS before division.
+    negatives all other masked rows of z_aug. `mask_aug`, when z_aug's rows
+    are other nodes than z's, selects its rows instead: the k-th selected row
+    of each is the same node. Analytic gradients flow to both inputs; rows
+    outside the mask get zero gradient. Zero-norm rows are clamped at
+    NORM_EPS before division.
     """
     if temperature <= 0.0:
         raise ValidationError("temperature must be > 0")
-    if z.shape != z_aug.shape:
-        raise ValidationError("z and z_aug must have identical shapes")
-    idx = np.flatnonzero(mask)
+    mask_aug = mask if mask_aug is None else mask_aug
+    idx, idx_aug = np.flatnonzero(mask), np.flatnonzero(mask_aug)
+    if (z.shape[1:] != z_aug.shape[1:] or idx.shape != idx_aug.shape
+            or mask.shape[0] != z.shape[0] or mask_aug.shape[0] != z_aug.shape[0]):
+        raise ValidationError("z, z_aug and their masks must have matching shapes")
     t = idx.shape[0]
     if t == 0:
         raise ValidationError("infonce_loss over an empty mask")
 
     u_raw = z[idx].astype(np.float64)
-    v_raw = z_aug[idx].astype(np.float64)
+    v_raw = z_aug[idx_aug].astype(np.float64)
     u, u_norm, u_clamp = _normalize_rows(u_raw)
     v, v_norm, v_clamp = _normalize_rows(v_raw)
 
@@ -353,9 +419,9 @@ def infonce_loss(
         return out
 
     grad_z = np.zeros(z.shape, dtype=np.float64)
-    grad_z_aug = np.zeros(z.shape, dtype=np.float64)
+    grad_z_aug = np.zeros(z_aug.shape, dtype=np.float64)
     grad_z[idx] = through_norm(du, u, u_norm, u_clamp)
-    grad_z_aug[idx] = through_norm(dv, v, v_norm, v_clamp)
+    grad_z_aug[idx_aug] = through_norm(dv, v, v_norm, v_clamp)
     return loss, grad_z.astype(z.dtype), grad_z_aug.astype(z.dtype)
 
 
@@ -467,23 +533,23 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     propagation matrix), NLL, and InfoNCE."""
     report = GradCheckReport()
     x, labels, mask, prop, params = _random_instance(rng)
-    drop_rng = rng.substream("gradcheck-dropout")
 
-    def param_grad_error(c_x, c_labels, c_mask, c_prop, c_params, p_drop=0.0, train=False):
+    def param_grad_error(c_x, c_labels, c_mask, c_prop, c_params, p_drop=0.0, keep=None):
         def loss_of(theta_vec):
             theta = vector_to_params(theta_vec, c_params)
-            lp, _ = gcn_forward(theta, c_x, c_prop, p_drop, drop_rng, train)
+            lp, _ = gcn_forward(theta, c_x, c_prop, p_drop, keep)
             return nll_loss(lp, c_labels, c_mask)[0]
 
-        lp, cache = gcn_forward(c_params, c_x, c_prop, p_drop, drop_rng, train)
+        lp, cache = gcn_forward(c_params, c_x, c_prop, p_drop, keep)
         grads = gcn_backward(cache, nll_loss(lp, c_labels, c_mask)[1])
         numeric = finite_difference_grad(loss_of, params_to_vector(c_params), eps)
         return relative_gradient_error(params_to_vector(grads), numeric)
 
     report.errors["gcn_backward/propagated"] = param_grad_error(x, labels, mask, prop, params)
     report.errors["gcn_backward/no_prop"] = param_grad_error(x, labels, mask, None, params)
+    keep = dropout_mask(rng.substream("gradcheck-dropout"), (x.shape[0], params.w1.shape[1]), 0.5)
     report.errors["gcn_backward/train_dropout"] = param_grad_error(
-        x, labels, mask, prop, params, 0.5, True
+        x, labels, mask, prop, params, 0.5, keep
     )
     # square (N = d), so that a transposed feature operand keeps its shape and
     # shows as a wrong gradient; row 0 and column 1 of the CSR x are all zero
@@ -498,7 +564,7 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     def nll_of(lp_mat):
         return nll_loss(lp_mat, labels, mask)[0]
 
-    lp, _ = gcn_forward(params, x, prop, 0.0, None, False)
+    lp, _ = gcn_forward(params, x, prop)
     _, grad_lp = nll_loss(lp, labels, mask)
     report.errors["nll_loss"] = relative_gradient_error(
         grad_lp, finite_difference_grad(nll_of, lp, eps)
@@ -512,10 +578,10 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
         return CsrAdjacency(np.arange(0, n * n + 1, n), np.tile(np.arange(n), n), p_mat.ravel(), n)
 
     def loss_of_prop(p_mat):
-        lp_mat, _ = gcn_forward(params, x, dense_pattern(p_mat), 0.0, None, False)
+        lp_mat, _ = gcn_forward(params, x, dense_pattern(p_mat))
         return nll_loss(lp_mat, labels, mask)[0]
 
-    lp, cache = gcn_forward(params, x, dense_pattern(dense_p), 0.0, None, False)
+    lp, cache = gcn_forward(params, x, dense_pattern(dense_p))
     u, v = gcn_backward_wrt_prop(cache, nll_loss(lp, labels, mask)[1])
     report.errors["gcn_backward_wrt_prop"] = relative_gradient_error(
         u @ v.T, finite_difference_grad(loss_of_prop, dense_p, eps)

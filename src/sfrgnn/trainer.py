@@ -13,6 +13,16 @@ under inter-class averaged attributes (a contrastive term).
 Pretraining, fine-tuning and the GCN/MLP baselines all run the one epoch loop
 `_supervised_loop`; fine-tuning is that loop with propagation on and, unless
 its augmented view is None, the contrastive term added.
+
+An epoch computes only the rows its losses read. Both losses read the
+training rows T, so layer 2 runs on T, layer 1 on R1 = T + N(T) and x @ w1 on
+R2 = R1 + N(R1); without propagation all three are T (`nn.RowPlan`). The
+rows left out get no gradient in the full pass either, so the result is the
+full pass's: every sparse product sums each row in stored order and the
+omitted rows add only exact zeros to the weight-gradient products and to the
+bias sums. The one exception by design is a dense BLAS product on a row
+subset, which may round otherwise (`hd @ w2`, `hd.T @ da2`, and x's products
+when features are dense). Prediction runs the full pass.
 """
 
 from __future__ import annotations
@@ -29,7 +39,9 @@ from .nn import (
     AdamState,
     ModelParams,
     ParamGrads,
+    RowPlan,
     adam_step,
+    dropout_mask,
     feature_operand,
     gcn_backward,
     gcn_forward,
@@ -151,36 +163,50 @@ def _supervised_loop(
     stage: StageHistory,
     stage_name: str,
     params: ModelParams | None = None,
-    view: tuple[np.ndarray, CsrAdjacency, np.ndarray] | None = None,
+    view: tuple[AugmentedFeatures, CsrAdjacency, np.ndarray] | None = None,
 ) -> ModelParams:
     """The one training loop: NLL on the training mask, behind pretraining,
     fine-tuning and the GCN/MLP baselines. With prop=None it never touches
     the graph structure.
 
-    `view` = (x_aug, prop_aug, mask) adds the contrastive term: a second
-    forward on the augmented attributes, sharing the epoch's dropout stream,
-    and an InfoNCE loss between the two hidden representations on `mask`,
-    whose gradient flows through both views. The two losses are summed
-    unweighted.
+    `view` = (aug, prop_aug, mask) adds the contrastive term: a second
+    forward on the augmented attributes, with the epoch's dropout mask, and
+    an InfoNCE loss between the two hidden representations on `mask`, whose
+    gradient flows through both views. The two losses are summed unweighted.
+
+    Every epoch computes only the rows the losses read: the plan
+    `RowPlan.closure` of the training rows, sliced once per call (the view
+    gets its own when prop_aug is not prop).
     """
     dtype = cfg.dtype
-    x = feature_operand(g.features, dtype, g.feature_operands)
+    train_ids = np.flatnonzero(g.splits.train)
+    plan = RowPlan.closure(prop, train_ids, g.num_nodes)
+    x = feature_operand(g.features, dtype, g.feature_operands)[plan.input_rows]
+    labels = g.labels[train_ids]
+    every = np.ones(train_ids.shape[0], dtype=bool)
     if params is None:
         params = init_params(x.shape[1], cfg.hidden, g.num_classes, rng, dtype)
     state = AdamState.zeros_like(params)
+    if view is not None:
+        aug, prop_aug, mask = view
+        plan_aug = plan if prop_aug is prop else RowPlan.closure(prop_aug, train_ids, g.num_nodes)
+        x_aug = feature_operand(aug.x_inter, dtype)[plan_aug.input_rows]
+        anchors, anchors_aug = mask[plan.hidden_rows], mask[plan_aug.hidden_rows]
     zero_lp = None
     for epoch in range(epochs):
         calls0 = spmm_calls()
         t0 = time.perf_counter()
-        drop_rng = rng.substream(f"{stage_name}-dropout-{epoch}")  # shared by both views
-        log_probs, cache = gcn_forward(params, x, prop, cfg.dropout, drop_rng, True)
-        loss, grad_lp = nll_loss(log_probs, g.labels, g.splits.train)
+        drop_rng = rng.substream(f"{stage_name}-dropout-{epoch}")
+        keep = dropout_mask(drop_rng, (g.num_nodes, params.w1.shape[1]), cfg.dropout)
+        log_probs, cache = gcn_forward(params, x, plan, cfg.dropout, keep)
+        loss, grad_lp = nll_loss(log_probs, labels, every)
         if view is None:
             grads = gcn_backward(cache, grad_lp)
         else:
-            x_aug, prop_aug, mask = view
-            _, cache_aug = gcn_forward(params, x_aug, prop_aug, cfg.dropout, drop_rng, True)
-            loss_c, grad_h, grad_h_aug = infonce_loss(cache.h, cache_aug.h, mask, cfg.temperature)
+            _, cache_aug = gcn_forward(params, x_aug, plan_aug, cfg.dropout, keep)
+            loss_c, grad_h, grad_h_aug = infonce_loss(
+                cache.h, cache_aug.h, anchors, cfg.temperature, anchors_aug
+            )
             loss = loss + loss_c
             if zero_lp is None:
                 zero_lp = np.zeros_like(log_probs)
@@ -308,7 +334,7 @@ def finetune(
         contrast_mask = g.splits.train & aug.replaced_mask
         if not contrast_mask.any():
             raise ValidationError("contrastive mask selects no training nodes")
-        view = (feature_operand(aug.x_inter, cfg.dtype), prop_aug, contrast_mask)
+        view = (aug, prop_aug, contrast_mask)
     params = _supervised_loop(
         g, cfg, rng, prop=prop, epochs=cfg.finetune_epochs,
         stage=history.finetune, stage_name="finetune", params=params_p.copy(), view=view,
@@ -389,7 +415,7 @@ def predict(model: TrainedModel, g: Graph) -> tuple[np.ndarray, dict[str, float]
     else:
         prop = None
     x = feature_operand(g.features, model.params.w1.dtype, g.feature_operands)
-    log_probs, _ = gcn_forward(model.params, x, prop, 0.0, None, False)
+    log_probs, _ = gcn_forward(model.params, x, prop)
     pred = np.argmax(log_probs, axis=1).astype(np.int64)
     correct = pred == g.labels
     accs = {

@@ -56,8 +56,8 @@ def test_a2_structural_isolation():
     cfg = TrainConfig()  # 200 pretraining epochs, deterministic streams
     p1, _ = pretrain(sparse, cfg, RngState(99))
     p2, _ = pretrain(dense, cfg, RngState(99))
-    z1, _ = gcn_forward(p1, sparse.features.astype(cfg.dtype), None, 0.0, None, False)
-    z2, _ = gcn_forward(p2, dense.features.astype(cfg.dtype), None, 0.0, None, False)
+    z1, _ = gcn_forward(p1, sparse.features.astype(cfg.dtype), None)
+    z2, _ = gcn_forward(p2, dense.features.astype(cfg.dtype), None)
     identical = all(np.array_equal(a, b) for a, b in zip(p1.arrays(), p2.arrays()))
     identical = identical and np.array_equal(z1, z2)
     elapsed = time.perf_counter() - t0

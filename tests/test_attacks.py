@@ -304,7 +304,7 @@ def brute_force_best_flips(g, params64):
             d2[u, v] = d2[v, u] = not d2[u, v]
             iu, ju = np.nonzero(np.triu(d2, k=1))
             adj = csr_from_edge_pairs(n, np.stack([iu, ju], axis=1))
-            lp, _ = gcn_forward(params64, x64, normalize_adjacency(adj), 0.0, None, False)
+            lp, _ = gcn_forward(params64, x64, normalize_adjacency(adj))
             loss, _ = nll_loss(lp, g.labels, g.splits.train)
             if loss > best_loss + 1e-12:
                 best_loss, best = loss, {(u, v)}
@@ -370,7 +370,7 @@ def full_recompute_loss(adj, head, a1, g):
     """The exact surrogate loss the local evaluator replaces: rebuild and
     re-normalize the whole graph, then run a full forward pass."""
     adj = csr_from_edge_pairs(adj.dim, adj.edge_pairs())
-    log_probs, _ = gcn_forward(head, a1, normalize_adjacency(adj), 0.0, None, False)
+    log_probs, _ = gcn_forward(head, a1, normalize_adjacency(adj))
     return nll_loss(log_probs, g.labels, g.splits.train)[0]
 
 

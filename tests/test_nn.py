@@ -11,6 +11,7 @@ from sfrgnn.nn import (
     ModelParams,
     adam_step,
     check_gradients,
+    dropout_mask,
     feature_operand,
     finite_difference_grad,
     gcn_backward,
@@ -41,7 +42,7 @@ def zero_params(d, hidden, classes, dtype=np.float64):
 def test_zero_weights_give_uniform_log_probs():
     params = zero_params(3, 4, 7)
     x = np.random.default_rng(0).standard_normal((5, 3))
-    log_probs, _ = gcn_forward(params, x, None, 0.0, None, False)
+    log_probs, _ = gcn_forward(params, x, None)
     np.testing.assert_allclose(log_probs, -math.log(7), atol=1e-12)
 
 
@@ -49,9 +50,9 @@ def test_no_prop_equals_identity_prop():
     g = build_graph(6, [], [0, 1, 0, 1, 0, 1], features=np.random.default_rng(1).standard_normal((6, 4)))
     identity = normalize_adjacency(g.adjacency)
     params = init_params(4, 3, 2, RngState(5), dtype=np.float64)
-    rng = RngState(9)
-    lp_none, _ = gcn_forward(params, g.features, None, 0.5, rng, True)
-    lp_ident, _ = gcn_forward(params, g.features, identity, 0.5, rng, True)
+    keep = dropout_mask(RngState(9), (6, 3), 0.5)
+    lp_none, _ = gcn_forward(params, g.features, None, 0.5, keep)
+    lp_ident, _ = gcn_forward(params, g.features, identity, 0.5, keep)
     np.testing.assert_array_equal(lp_none, lp_ident)
 
 
@@ -65,7 +66,7 @@ def test_forward_matches_scalar_hand_evaluation():
         b2=np.array([-0.3, 0.4]),
     )
     x = np.array([[1.0, 2.0], [-3.0, 0.5]])
-    log_probs, _ = gcn_forward(params, x, None, 0.0, None, False)
+    log_probs, _ = gcn_forward(params, x, None)
 
     for row in range(2):
         h = []
@@ -83,7 +84,7 @@ def test_forward_matches_scalar_hand_evaluation():
 def test_backward_zero_upstream_gives_zero_grads():
     params = init_params(4, 3, 2, RngState(1), dtype=np.float64)
     x = np.random.default_rng(2).standard_normal((5, 4))
-    lp, cache = gcn_forward(params, x, None, 0.0, None, False)
+    lp, cache = gcn_forward(params, x, None)
     grads = gcn_backward(cache, np.zeros_like(lp))
     for arr in grads.arrays():
         np.testing.assert_array_equal(arr, 0.0)
@@ -102,10 +103,10 @@ def test_backward_matches_central_finite_differences():
 
     def loss_of(vec):
         theta = vector_to_params(vec, params)
-        lp, _ = gcn_forward(theta, g.features, prop, 0.0, None, False)
+        lp, _ = gcn_forward(theta, g.features, prop)
         return nll_loss(lp, g.labels, mask)[0]
 
-    lp, cache = gcn_forward(params, g.features, prop, 0.0, None, False)
+    lp, cache = gcn_forward(params, g.features, prop)
     _, grad_lp = nll_loss(lp, g.labels, mask)
     analytic = params_to_vector(gcn_backward(cache, grad_lp))
     numeric = finite_difference_grad(loss_of, params_to_vector(params), eps=1e-5)
@@ -124,7 +125,7 @@ def test_gradients_invariant_to_logit_shift():
 
     grads = []
     for p in (params, shifted):
-        lp, cache = gcn_forward(p, x, None, 0.0, None, False)
+        lp, cache = gcn_forward(p, x, None)
         _, grad_lp = nll_loss(lp, labels, mask)
         grads.append(gcn_backward(cache, grad_lp))
     for a, b in zip(grads[0].arrays(), grads[1].arrays()):
@@ -293,14 +294,14 @@ def test_mutated_backward_is_flagged():
     params = init_params(3, 3, 2, RngState(31), dtype=np.float64)
     mask = np.ones(5, dtype=bool)
 
-    lp, cache = gcn_forward(params, g.features, prop, 0.0, None, False)
+    lp, cache = gcn_forward(params, g.features, prop)
     _, grad_lp = nll_loss(lp, g.labels, mask)
     grads = gcn_backward(cache, grad_lp)
     grads.w1 = -grads.w1  # deliberate sign-flip mutation
 
     def loss_of(vec):
         theta = vector_to_params(vec, params)
-        lp2, _ = gcn_forward(theta, g.features, prop, 0.0, None, False)
+        lp2, _ = gcn_forward(theta, g.features, prop)
         return nll_loss(lp2, g.labels, mask)[0]
 
     numeric = finite_difference_grad(loss_of, params_to_vector(params))
@@ -330,9 +331,10 @@ def test_sparse_feature_products_match_dense(dtype, tol):
     params = init_params(60, 8, 3, RngState(4), dtype=dtype)
     mask = np.zeros(40, dtype=bool)
     mask[::3] = True
+    keep = dropout_mask(RngState(6), (40, 8), 0.5)
     for prop in (normalize_adjacency(g.adjacency), None):
-        lp, cache = gcn_forward(params, x, prop, 0.5, RngState(6), True)
-        lp_csr, cache_csr = gcn_forward(params, x_csr, prop, 0.5, RngState(6), True)
+        lp, cache = gcn_forward(params, x, prop, 0.5, keep)
+        lp_csr, cache_csr = gcn_forward(params, x_csr, prop, 0.5, keep)
         assert lp_csr.dtype == dtype
         assert relative_gradient_error(lp_csr, lp) < tol
         _, grad_lp = nll_loss(lp, g.labels, mask)

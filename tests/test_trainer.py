@@ -45,8 +45,8 @@ def test_pretrain_is_structurally_isolated():
     cfg = small_cfg()
     p1, _ = pretrain(g_sparse, cfg, RngState(7))
     p2, _ = pretrain(g_dense, cfg, RngState(7))
-    z1, _ = gcn_forward(p1, g_sparse.features, None, 0.0, None, False)
-    z2, _ = gcn_forward(p2, g_dense.features, None, 0.0, None, False)
+    z1, _ = gcn_forward(p1, g_sparse.features, None)
+    z2, _ = gcn_forward(p2, g_dense.features, None)
     assert params_equal(p1, p2)
     assert np.array_equal(z1, z2)
 
@@ -92,7 +92,7 @@ def test_pretrain_separable_blobs_reach_train_accuracy():
 
     cfg = TrainConfig(pretrain_epochs=200, finetune_epochs=0, precision="f64")
     params, _ = pretrain(g, cfg, RngState(23))
-    z, _ = gcn_forward(params, g.features, None, 0.0, None, False)
+    z, _ = gcn_forward(params, g.features, None)
     pred = np.argmax(z, axis=1)
     acc = float((pred[g.splits.train] == labels[g.splits.train]).mean())
     assert acc >= 0.95

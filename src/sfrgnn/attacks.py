@@ -40,6 +40,10 @@ from .trainer import TrainConfig, train
 # bounds the O(N^2 (C + F)) time of scoring every pair at each relinearization
 GRAD_ATTACK_NODE_CAP = 20000
 
+# why the gradient attack stopped, as `PerturbationPlan.stop_reason` records it
+STOPPED_BUDGET = "budget spent"
+STOPPED_NO_GAIN = "no shortlisted flip raises the loss after relinearizing"
+
 
 @dataclass(frozen=True)
 class FlipTrace:
@@ -56,6 +60,7 @@ class PerturbationPlan:
     budget: int
     ptb_ratio: float
     trace: list[FlipTrace] = field(default_factory=list)  # one per flip; gradient attack only
+    stop_reason: str = ""  # STOPPED_BUDGET or STOPPED_NO_GAIN; gradient attack only
 
     def validate_against(self, g: Graph) -> None:
         if len(self.flips) > self.budget:
@@ -158,27 +163,31 @@ def dice_attack(g: Graph, ptb_ratio: float, rng: RngState) -> PerturbationPlan:
     return PerturbationPlan(flips=flips, budget=budget, ptb_ratio=ptb_ratio)
 
 
-def _row_entries(m: CsrAdjacency, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column) of every stored entry in the given rows, in stored order."""
-    counts, idx = m.entries_of(rows)
-    return np.repeat(rows, counts), m.col_indices[idx]
-
-
 class _ExactFlipLoss:
-    """Exact surrogate training loss of the current graph with one pair toggled.
+    """Exact surrogate training loss of the current graph with one pair
+    toggled, for a shortlist of pairs at once.
 
     Built from one full forward pass on the current graph. Toggling (u, v)
     changes the propagation matrix only in rows and columns u and v, so layer 1
     changes only on S1 = {u, v} + N(u) + N(v) and the logits only on
-    S2 = S1 + N(S1). `loss_with` recomputes layer 1 on S1 and layer 2 on the
-    training rows of S2, each through `spmm` with an N x N matrix that holds
-    only those rows, with the post-toggle entries in the order and with the
-    values `normalize_adjacency` gives them. The patched rows go into a copy
-    of the cached per-node log-probabilities, whose mean is taken as
-    `nll_loss` takes it, so the loss is bitwise equal to a full recompute on
-    the toggled graph. The layer-2 input h @ w2 is one full-shape product on a
-    patched copy of h: numpy hands one-row products to a different BLAS
-    routine, so a product over a subset of rows is not bitwise by design.
+    S2 = S1 + N(S1). `losses_with` takes two `spmm` calls for a whole
+    shortlist: layer 1 on a CSR with one row block per candidate (its S1
+    rows) times a1, and layer 2 on one with a block per candidate (the
+    training rows of its S2) times [h @ w2 ; every candidate's patched S1 rows
+    of h @ w2], each block's columns pointing at its own candidate's rows.
+    Every row holds the post-toggle entries in the order and with the values
+    `normalize_adjacency` gives them, and scipy accumulates each output row on
+    its own in stored order. The patched rows go into a copy of the cached
+    per-node log-probabilities, whose mean is taken as `nll_loss` takes it, so
+    each loss is bitwise equal to a full recompute on the toggled graph. The
+    layer-2 input h @ w2 is one full-shape product per candidate on a patched
+    copy of h: numpy hands one-row products to a different BLAS routine, so a
+    product over a subset of rows is not bitwise by design.
+
+    Memory: under (N + sum |S1|) x (F + C) float64s for any number of
+    candidates (the stacked operand, one N x C product at a time, the stacked
+    rows), never one copy of the N rows per candidate; a 32-pair batch peaks
+    at 0.3 MB of traced allocations at N = 2708 and 1.3 MB at N = 20000.
     """
 
     def __init__(
@@ -194,50 +203,91 @@ class _ExactFlipLoss:
         self.slot = np.cumsum(train_mask) - 1  # node -> position in `picked`
         self.deg_tilde = adj.degrees().astype(np.float64) + 1.0
         self.h = self.cache.h.copy()  # patched per candidate, then restored
+        self.a2 = self.h @ head.w2  # the layer-2 input of rows no toggle changes
 
-    def _patch(
-        self, rows: np.ndarray, u: int, v: int, add: bool, deg_tilde: np.ndarray
-    ) -> CsrAdjacency:
-        """Post-toggle propagation rows `rows` (sorted) in an N x N matrix."""
+    def _patched_entries(
+        self, owner: np.ndarray, nodes: np.ndarray, u: np.ndarray, v: np.ndarray,
+        add: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Post-toggle entries of propagation rows `nodes`, row i as candidate
+        owner[i] (toggling u[owner[i]], v[owner[i]]) has it: (row position,
+        column, value), row after row, columns ascending."""
         n = self.adj.dim
-        src, dst = _row_entries(self.prop, rows)
-        keys = src * n + dst  # ascending: rows sorted, columns sorted per row
-        ends = np.array([u * n + v, v * n + u])
-        if add:
-            keys = np.sort(np.concatenate([keys, ends[[u in rows, v in rows]]]))
-        else:
-            keys = keys[(keys != ends[0]) & (keys != ends[1])]
-        return csr_from_keys(n, keys, deg_tilde)
+        counts, idx = self.prop.entries_of(nodes)
+        keys = np.repeat(np.arange(nodes.shape[0]) * n, counts) + self.prop.col_indices[idx]
+        at_u = np.flatnonzero(nodes == u[owner])
+        at_v = np.flatnonzero(nodes == v[owner])
+        toggled = np.concatenate([at_u * n + v[owner[at_u]], at_v * n + u[owner[at_v]]])
+        keys = np.setxor1d(keys, toggled, assume_unique=True)  # drop if stored, else add
+        pos, cols = keys // n, keys % n
+        cand = owner[pos]
+        step = np.where(add, 1.0, -1.0)[cand]
+
+        def deg_tilde(ids):  # degree + 1 after the entry's own candidate's toggle
+            return self.deg_tilde[ids] + step * ((ids == u[cand]) | (ids == v[cand]))
+
+        return pos, cols, 1.0 / np.sqrt(deg_tilde(nodes[pos]) * deg_tilde(cols))
+
+    def losses_with(self, keys: np.ndarray) -> np.ndarray:
+        """The exact loss with each pair u * n + v of `keys` toggled alone."""
+        n, k = self.adj.dim, keys.shape[0]
+        losses = np.empty(k)
+        if k == 0:
+            return losses
+        u, v = keys // n, keys % n
+        ends = np.stack([u, v], axis=1).ravel()
+        counts, idx = self.prop.entries_of(ends)
+        row_of = np.repeat(np.arange(2 * k), counts)
+        cols = self.prop.col_indices[idx]
+        stored = cols == np.stack([v, u], axis=1).ravel()[row_of]  # entry (u, v) or (v, u)
+        add = np.ones(k, dtype=bool)
+        add[row_of[stored] // 2] = False
+        s1 = np.unique(row_of // 2 * n + cols)  # (candidate, node) keys of the S1 rows
+        s1_cand, s1_node = s1 // n, s1 % n
+        s1_bounds = np.searchsorted(s1_cand, np.arange(k + 1))
+
+        pos, cols, values = self._patched_entries(s1_cand, s1_node, u, v, add)
+        layer1 = csr_from_keys(s1.shape[0], pos * n + cols, values=values, cols=n)
+        hidden = gcn_hidden(spmm(layer1, self.cache.a1), self.head.b1)
+        a2_rows = np.empty((s1.shape[0], self.a2.shape[1]), dtype=self.a2.dtype)
+        for c in range(k):
+            block = slice(s1_bounds[c], s1_bounds[c + 1])
+            rows = s1_node[block]
+            self.h[rows] = hidden[block]
+            a2_rows[block] = (self.h @ self.head.w2)[rows]
+            self.h[rows] = self.cache.h[rows]
+
+        s2 = np.unique(s1_cand[pos] * n + cols)  # every column of an S1 row
+        out = s2[self.train_mask[s2 % n]]
+        out_cand, out_node = out // n, out % n
+        picked_new = np.empty(0)
+        if out.shape[0]:
+            pos, cols, values = self._patched_entries(out_cand, out_node, u, v, add)
+            # a column in the entry's own candidate's S1 reads that candidate's
+            # patched row of h @ w2, stacked below the unpatched rows
+            wanted = out_cand[pos] * n + cols
+            at = np.minimum(np.searchsorted(s1, wanted), s1.shape[0] - 1)
+            cols = np.where(s1[at] == wanted, n + at, cols)
+            width = n + s1.shape[0]
+            layer2 = csr_from_keys(out.shape[0], pos * width + cols, values=values, cols=width)
+            log_probs = gcn_log_probs(spmm(layer2, np.vstack([self.a2, a2_rows])), self.head.b2)
+            picked_new = log_probs[np.arange(out.shape[0]), self.labels[out_node]]
+
+        out_bounds = np.searchsorted(out_cand, np.arange(k + 1))
+        for c in range(k):
+            block = slice(out_bounds[c], out_bounds[c + 1])
+            picked = self.picked.copy()
+            picked[self.slot[out_node[block]]] = picked_new[block]
+            losses[c] = -float(picked.mean())
+        return losses
 
     def loss_with(self, u: int, v: int) -> float:
-        add = not self.adj.has_entry(u, v)
-        deg_tilde = self.deg_tilde.copy()
-        deg_tilde[[u, v]] += 1.0 if add else -1.0
-        head, cache = self.head, self.cache
-
-        reach = np.zeros(self.adj.dim, dtype=bool)
-        reach[self.prop.row(u)] = True
-        reach[self.prop.row(v)] = True
-        s1_rows = np.flatnonzero(reach)
-        s1 = spmm(self._patch(s1_rows, u, v, add, deg_tilde), cache.a1)
-        self.h[s1_rows] = gcn_hidden(s1[s1_rows], head.b1)
-        a2 = self.h @ head.w2
-        self.h[s1_rows] = cache.h[s1_rows]
-
-        reach[_row_entries(self.prop, s1_rows)[1]] = True
-        out_rows = np.flatnonzero(reach & self.train_mask)
-        picked = self.picked.copy()
-        if out_rows.shape[0]:
-            s2 = spmm(self._patch(out_rows, u, v, add, deg_tilde), a2)
-            log_probs = gcn_log_probs(s2[out_rows], head.b2)
-            picked[self.slot[out_rows]] = log_probs[
-                np.arange(out_rows.shape[0]), self.labels[out_rows]
-            ]
-        return -float(picked.mean())
+        return float(self.losses_with(np.array([u * self.adj.dim + v]))[0])
 
 
 GRAD_SHORTLIST = 32  # gradient-ranked candidates that get an exact loss evaluation
 SCORE_BLOCK_ELEMENTS = 1 << 20  # pair scores held at once while ranking: 8 MB of float64
+SCORE_PASS_ELEMENTS = 1 << 17  # scores one pass over a block touches: 1 MB, within an L2
 
 
 def _ranked_flips(
@@ -262,9 +312,11 @@ def _ranked_flips(
     differ in sign. G_ij + G_ji = [U, V]_i . [V, U]_j, so the diagonal, the
     per-edge terms and the removal scores are row-wise dot products, and the
     addition scores are made one block of rows at a time (pairs j > i only)
-    and merged into a running best k. Memory is a few buffers the size of one
-    block (at most SCORE_BLOCK_ELEMENTS scores) plus O((N + E)(C + F));
-    nothing is N x N.
+    and merged into a running best k. Each block is one product, then swept
+    in passes of at most SCORE_PASS_ELEMENTS scores (one L2-sized sub-block
+    of rows) for the adds, the masks, the filter and the merge. Memory is a
+    few buffers the size of one block (at most SCORE_BLOCK_ELEMENTS scores)
+    plus O((N + E)(C + F)); nothing is N x N.
     """
     adj = exact.adj
     n = adj.dim
@@ -307,31 +359,36 @@ def _ranked_flips(
         # scores of the pairs (i, j) with r0 <= i < r1 and j >= r0, row-major,
         # so flat position order is key order
         blk = left[r0:r1] @ right[r0:].T
-        blk += a_add[r0:r1, None]
-        blk += a_add[None, r0:]
-        blk[:, : r1 - r0][np.tri(r1 - r0, dtype=bool)] = -np.inf  # j <= i
-        e0, e1 = np.searchsorted(iu, [r0, r1])
-        blk[iu[e0:e1] - r0, ju[e0:e1] - r0] = rem_vals[e0:e1]
-        f0, f1 = np.searchsorted(flipped, [r0 * n, r1 * n])
-        blk[flipped[f0:f1] // n - r0, flipped[f0:f1] % n - r0] = -np.inf
-
-        # every kept key is smaller than this block's, so a block score equal
-        # to the running k-th best ranks below it
-        flat = blk.ravel()
-        floor = top_scores[-1] if top_scores.shape[0] == k else -np.inf
-        idx = np.flatnonzero(flat > floor)
-        vals = flat[idx]
-        if idx.shape[0] > k:  # the block's best k, ties to the smaller keys
-            kth = np.partition(vals, idx.shape[0] - k)[idx.shape[0] - k]
-            keep = vals > kth
-            keep[np.flatnonzero(vals == kth)[: k - np.count_nonzero(keep)]] = True
-            idx, vals = idx[keep], vals[keep]
         width = n - r0
-        keys = (r0 + idx // width) * n + r0 + idx % width
-        merged_keys = np.concatenate([top_keys, keys])
-        merged_scores = np.concatenate([top_scores, vals])
-        order = np.argsort(-merged_scores, kind="stable")[:k]
-        top_keys, top_scores = merged_keys[order], merged_scores[order]
+        chunk = max(SCORE_PASS_ELEMENTS // width, 1)
+        for q0 in range(r0, r1, chunk):  # the rows i of one cache-sized pass
+            q1 = min(q0 + chunk, r1)
+            sub = blk[q0 - r0 : q1 - r0]
+            sub += a_add[q0:q1, None]
+            sub += a_add[None, r0:]
+            sub[:, : q0 - r0] = -np.inf  # j < q0 <= i
+            sub[:, q0 - r0 : q1 - r0][np.tri(q1 - q0, dtype=bool)] = -np.inf  # q0 <= j <= i
+            e0, e1 = np.searchsorted(iu, [q0, q1])
+            sub[iu[e0:e1] - q0, ju[e0:e1] - r0] = rem_vals[e0:e1]
+            f0, f1 = np.searchsorted(flipped, [q0 * n, q1 * n])
+            sub[flipped[f0:f1] // n - q0, flipped[f0:f1] % n - r0] = -np.inf
+
+            # every kept key is smaller than this pass's, so a score equal to
+            # the running k-th best ranks below it
+            flat = sub.ravel()
+            floor = top_scores[-1] if top_scores.shape[0] == k else -np.inf
+            idx = np.flatnonzero(flat > floor)
+            vals = flat[idx]
+            if idx.shape[0] > k:  # the pass's best k, ties to the smaller keys
+                kth = np.partition(vals, idx.shape[0] - k)[idx.shape[0] - k]
+                keep = vals > kth
+                keep[np.flatnonzero(vals == kth)[: k - np.count_nonzero(keep)]] = True
+                idx, vals = idx[keep], vals[keep]
+            keys = (q0 + idx // width) * n + r0 + idx % width
+            merged_keys = np.concatenate([top_keys, keys])
+            merged_scores = np.concatenate([top_scores, vals])
+            order = np.argsort(-merged_scores, kind="stable")[:k]
+            top_keys, top_scores = merged_keys[order], merged_scores[order]
     return top_keys, top_scores
 
 
@@ -345,18 +402,24 @@ def sgc_gradient_attack(
     toggles by the loss gradient (differentiated through the symmetric
     normalization), evaluates the exact surrogate loss for the top
     GRAD_SHORTLIST candidates, and applies the best one; the gradient is
-    re-linearized every max(budget // 10, 1) applied flips. The plan's
-    `trace` records, per applied flip, its rank among the remaining ranked
-    candidates, its gradient estimate and its exact loss change.
+    re-linearized every max(budget // 10, 1) applied flips, and also as soon
+    as a shortlist from an older linearization holds no flip that raises the
+    loss. The attack stops short of its budget only when a shortlist from
+    the current graph's own linearization holds none. The plan's `trace`
+    records, per applied flip, its rank among the remaining ranked
+    candidates, its gradient estimate and its exact loss change, and its
+    `stop_reason` says why the attack stopped.
 
     The exact evaluations are local: after one full forward pass per applied
-    flip, a candidate recomputes only the rows within two hops of its endpoints
-    (`_ExactFlipLoss`), bitwise equal to a full recompute, so the plan is the
-    one full recomputes would choose. Memory: ranking (`_ranked_flips`) holds
-    a few buffers the size of one block of at most SCORE_BLOCK_ELEMENTS
-    float64 scores (8 MB) and O((N + E)(C + F)) factors and per-edge terms,
-    never an N x N buffer: a ranking call peaks at 34 MB of traced
-    allocations at N = 2708 and 78 MB at N = 20000. Time: each
+    flip, a shortlist recomputes only the rows within two hops of each
+    candidate's endpoints, all candidates in two propagations
+    (`_ExactFlipLoss.losses_with`, under (N + sum |S1|) x (F + C) float64s),
+    bitwise equal to a full recompute, so the plan is the one full recomputes
+    would choose. Ranking (`_ranked_flips`) holds a few buffers the size of
+    one block of at most SCORE_BLOCK_ELEMENTS float64 scores (8 MB), swept in
+    passes of SCORE_PASS_ELEMENTS (1 MB), and O((N + E)(C + F)) factors and
+    per-edge terms, never an N x N buffer: a ranking call peaks at 18 MB of
+    traced allocations at N = 2708 and 79 MB at N = 20000. Time: each
     relinearization scores all N^2 / 2 pairs in O(N^2 (C + F)), which is what
     GRAD_ATTACK_NODE_CAP bounds.
     """
@@ -369,6 +432,7 @@ def sgc_gradient_attack(
     budget = _flip_budget(g, ptb_ratio)
     plan = PerturbationPlan(flips=[], budget=budget, ptb_ratio=ptb_ratio)
     if budget == 0:
+        plan.stop_reason = STOPPED_BUDGET
         return plan
 
     surrogate = train(g, cfg, "gcn", rng.substream("surrogate"))
@@ -388,31 +452,33 @@ def sgc_gradient_attack(
         return _ExactFlipLoss(adj, head, a1, g.labels, g.splits.train)
 
     exact = exact_for(edge_keys)
-    exhausted = False
-    while len(plan.flips) < budget and not exhausted:
+    while len(plan.flips) < budget:
         # one gradient linearization serves the next `relinearize_every` flips
         keys, estimates = _ranked_flips(
             exact, flipped_keys, relinearize_every + GRAD_SHORTLIST
         )
         ranked = list(zip(keys.tolist(), estimates.tolist()))
 
+        fresh = True  # the shortlist comes from the current graph's gradient
         for _ in range(min(relinearize_every, budget - len(plan.flips))):
-            best_pos, best_delta = None, 0.0
-            for pos, (cand, _) in enumerate(ranked[:GRAD_SHORTLIST]):
-                delta = exact.loss_with(*divmod(cand, n)) - exact.loss
-                if delta > best_delta:
-                    best_pos, best_delta = pos, delta
-            if best_pos is None:
-                exhausted = True  # no shortlisted flip raises the loss
-                break
+            shortlist = np.array([key for key, _ in ranked[:GRAD_SHORTLIST]], dtype=np.int64)
+            deltas = exact.losses_with(shortlist) - exact.loss
+            if not (deltas > 0.0).any():
+                break  # no shortlisted flip raises the loss
+            fresh = False
+            best_pos = int(np.argmax(deltas))  # the first of the largest
             key, estimate = ranked.pop(best_pos)
             u, v = divmod(key, n)
             plan.flips.append(("remove" if exact.adj.has_entry(u, v) else "add", u, v))
-            plan.trace.append(FlipTrace(best_pos + 1, estimate, best_delta))
+            plan.trace.append(FlipTrace(best_pos + 1, estimate, float(deltas[best_pos])))
             edge_keys = np.setxor1d(edge_keys, [key])
             flipped_keys = np.union1d(flipped_keys, [key])
             if len(plan.flips) < budget:
                 exact = exact_for(edge_keys)
+        if fresh:
+            plan.stop_reason = STOPPED_NO_GAIN
+            return plan
+    plan.stop_reason = STOPPED_BUDGET
     return plan
 
 

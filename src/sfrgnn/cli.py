@@ -138,6 +138,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             f"gradient ranking hit rate {hits / len(plan.trace):.2f}: {hits} of "
             f"{len(plan.trace)} flips were the top-ranked remaining candidate"
         )
+    if plan.stop_reason:
+        print(f"applied {len(plan.flips)} of {plan.budget} flips: {plan.stop_reason}")
     return 0
 
 

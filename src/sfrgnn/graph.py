@@ -13,7 +13,7 @@ inside the normalized propagation matrix returned by `normalize_adjacency`.
 
 Entry (i, j) of an N x N matrix has the int64 key i * N + j, so ascending
 keys are row-major order. Every CSR the package builds from entries comes out
-of `csr_from_keys`, which takes them as a sorted key array.
+of `csr_from_keys`, which takes them as a key array sorted by row.
 """
 
 from __future__ import annotations
@@ -200,10 +200,12 @@ def csr_from_keys(
     values: np.ndarray | None = None,
     cols: int | None = None,
 ) -> CsrAdjacency:
-    """The n x n CSR, or n x `cols`, with an entry at each ascending int64 key
-    i * width + j (width = `cols`, default n). Entries take `values` (in key
-    order), else 1/sqrt(deg_tilde_i * deg_tilde_j) when `deg_tilde` is given
-    (square only), else 1."""
+    """The n x n CSR, or n x `cols`, with an entry at each int64 key
+    i * width + j (width = `cols`, default n). Keys ascend by row i; each
+    row stores its entries in the order given, which ascending keys make
+    column order. Entries take `values` (in key order), else
+    1/sqrt(deg_tilde_i * deg_tilde_j) when `deg_tilde` is given (square
+    only), else 1."""
     width = n if cols is None else cols
     rows, col_ids = keys // width, keys % width
     if values is None and deg_tilde is None:

@@ -11,6 +11,8 @@ import sfrgnn
 import sfrgnn.attacks as attacks_mod
 from sfrgnn.attacks import (
     GRAD_ATTACK_NODE_CAP,
+    STOPPED_BUDGET,
+    STOPPED_NO_GAIN,
     PerturbationPlan,
     _ExactFlipLoss,
     _ranked_flips,
@@ -25,7 +27,15 @@ from sfrgnn.attacks import (
 )
 from sfrgnn.errors import CapacityError, ValidationError
 from sfrgnn.graph import csr_from_edge_pairs, graph_stats, normalize_adjacency, write_graph
-from sfrgnn.nn import ModelParams, gcn_backward_wrt_prop, gcn_forward, init_params, nll_loss
+from sfrgnn.nn import (
+    ModelParams,
+    gcn_backward_wrt_prop,
+    gcn_forward,
+    init_params,
+    nll_loss,
+    reset_spmm_calls,
+    spmm_calls,
+)
 from sfrgnn.rng import RngState
 from sfrgnn.synth import sbm_graph
 from sfrgnn.trainer import TrainConfig, train
@@ -366,6 +376,67 @@ def test_gradient_attack_plan_is_pinned():
     ]
 
 
+def stale_prone_sbm():
+    return sbm_graph([25, 25], p_in=0.2, p_out=0.05, seed=0, feature_dim=4,
+                     train_ratio=0.3, val_ratio=0.2)
+
+
+def record_greedy_steps(monkeypatch, stall_after=None):
+    """Log the attack's steps: "R" per ranking, then per shortlist evaluation
+    "+" when some pair raises the loss, else "0". With `stall_after`, every
+    evaluation after that many reports no gain."""
+    events = []
+    rank = attacks_mod._ranked_flips
+
+    def ranked(*args):
+        events.append("R")
+        return rank(*args)
+
+    class Recording(_ExactFlipLoss):
+        def losses_with(self, keys):
+            losses = super().losses_with(keys)
+            if stall_after is not None and events.count("+") >= stall_after:
+                losses = np.full(keys.shape[0], self.loss)
+            events.append("+" if (losses > self.loss).any() else "0")
+            return losses
+
+    monkeypatch.setattr(attacks_mod, "_ranked_flips", ranked)
+    monkeypatch.setattr(attacks_mod, "_ExactFlipLoss", Recording)
+    return events
+
+
+def test_gradient_attack_relinearizes_when_a_stale_shortlist_runs_out(monkeypatch):
+    """With a two-pair shortlist, one shortlist on this graph runs out while
+    it is stale (flips were applied since its ranking). The attack must rank
+    afresh, find an improving flip there and spend its budget, instead of
+    stopping short at the stale shortlist."""
+    monkeypatch.setattr(attacks_mod, "GRAD_SHORTLIST", 2)
+    events = record_greedy_steps(monkeypatch)
+    g = stale_prone_sbm()
+    plan = sgc_gradient_attack(g, 0.5, TrainConfig(pretrain_epochs=30), RngState(0))
+    steps = "".join(events)
+    stale_out = steps.index("0")
+    assert steps[stale_out - 1] == "+"  # the shortlist that ran out was stale
+    assert steps[stale_out + 1 : stale_out + 3] == "R+"  # a fresh one still improves
+    assert steps[:stale_out].count("+") < plan.budget
+    assert len(plan.flips) == len(plan.trace) == plan.budget == 68
+    assert plan.stop_reason == STOPPED_BUDGET
+
+
+def test_gradient_attack_stops_only_on_a_fresh_shortlist(monkeypatch):
+    """No pair raises the loss after the third flip: the stale shortlist of
+    the fourth step runs out, the attack relinearizes once, and stops when
+    the fresh shortlist has no improving pair either, saying why."""
+    events = record_greedy_steps(monkeypatch, stall_after=3)
+    g = stale_prone_sbm()
+    plan = sgc_gradient_attack(g, 0.5, TrainConfig(pretrain_epochs=30), RngState(0))
+    assert "".join(events) == "R+++0R0"
+    assert len(plan.flips) == len(plan.trace) == 3 < plan.budget
+    assert plan.stop_reason == STOPPED_NO_GAIN
+    zero = sgc_gradient_attack(g, 0.0, TrainConfig(pretrain_epochs=5), RngState(0))
+    assert zero.flips == [] and zero.stop_reason == STOPPED_BUDGET
+
+
 def full_recompute_loss(adj, head, a1, g):
     """The exact surrogate loss the local evaluator replaces: rebuild and
     re-normalize the whole graph, then run a full forward pass."""
@@ -435,6 +506,93 @@ def test_local_flip_loss_boundary_cases():
     assert exact.loss_with(5, 7) == exact.loss
 
 
+@pytest.mark.parametrize("seed", [30, 31, 32])
+def test_batched_losses_equal_full_recompute(seed):
+    """One batch of additions and removals, pairs sharing endpoints, isolated
+    and degree-one endpoints: each loss == the full recompute, in two
+    propagations for the whole batch."""
+    g = sbm_graph([12, 10, 8], p_in=0.2, p_out=0.03, seed=seed, feature_dim=6,
+                  train_ratio=0.3, val_ratio=0.2)
+    head, a1 = random_head(g, seed)
+    exact = _ExactFlipLoss(g.adjacency, head, a1, g.labels, g.splits.train)
+    n = g.num_nodes
+    gen = np.random.default_rng(seed)
+    edges = g.adjacency.edge_keys()
+    lone = int(np.flatnonzero(g.adjacency.degrees() == 0)[0])
+    leaf = int(np.flatnonzero(g.adjacency.degrees() == 1)[0])
+    hub = int(np.argmax(g.adjacency.degrees()))
+    keys = np.concatenate([
+        gen.choice(edges, 12, replace=False),
+        gen.choice(n * n, 12, replace=False),
+        [min(hub, w) * n + max(hub, w) for w in range(n) if w != hub][:6],  # shared endpoint
+        [min(lone, w) * n + max(lone, w) for w in (hub, leaf)],  # an isolated endpoint
+    ])
+    keys = keys[keys // n != keys % n]
+    reset_spmm_calls()
+    losses = exact.losses_with(keys)
+    assert spmm_calls() == 2
+    assert losses.shape == keys.shape
+    actions = set()
+    for key, loss in zip(keys.tolist(), losses.tolist()):
+        u, v = divmod(key, n)
+        actions.add(g.adjacency.has_entry(u, v))
+        assert loss == full_recompute_loss(toggled_adjacency(g.adjacency, u, v), head, a1, g), key
+    assert actions == {True, False}
+
+
+def test_batched_losses_boundary_cases():
+    """The boundary graph of the single-pair test in one batch, candidates
+    with and without training rows in their two-hop reach together; a
+    one-candidate batch; a batch no training row sees, which needs no
+    layer-2 propagation; and the empty batch."""
+    labels = [0, 1, 0, 1, 0, 1, 0, 1, 0]
+    g = build_graph(9, [(0, 1), (1, 2), (2, 3), (1, 4), (7, 8)], labels, train=[0, 3])
+    head, a1 = random_head(g, 33, hidden=4)
+    exact = _ExactFlipLoss(g.adjacency, head, a1, g.labels, g.splits.train)
+    n = g.num_nodes
+    pairs = [(5, 6), (1, 4), (0, 1), (7, 8), (5, 7), (0, 5), (1, 2), (0, 2)]
+    full = [full_recompute_loss(toggled_adjacency(g.adjacency, u, v), head, a1, g)
+            for u, v in pairs]
+    keys = np.array([u * n + v for u, v in pairs])
+    assert exact.losses_with(keys).tolist() == full
+    assert exact.losses_with(keys[::-1]).tolist() == full[::-1]
+    for key, loss in zip(keys, full):
+        assert exact.losses_with(key[None]).tolist() == [loss]
+    reset_spmm_calls()
+    unseen = exact.losses_with(np.array([7 * n + 8, 5 * n + 7]))
+    assert spmm_calls() == 1
+    assert unseen.tolist() == [exact.loss, exact.loss]
+    assert exact.losses_with(np.empty(0, dtype=np.int64)).shape == (0,)
+
+
+def test_batched_losses_memory_grows_with_rows_not_candidates():
+    """A 32-candidate batch at N = 6000 holds the (N + sum |S1|) x C layer-2
+    operand, one N x C product at a time and the stacked S1 rows: its traced
+    peak stays under (N + sum |S1|) x (F + C) float64s, where K stacked
+    copies of the N rows would need 32 x N x (F + C), 34 MB."""
+    n, classes, hidden = 6000, 7, 16
+    gen = np.random.default_rng(50)
+    pairs = gen.integers(0, n, size=(12000, 2))
+    adj = csr_from_edge_pairs(n, pairs[pairs[:, 0] != pairs[:, 1]])
+    labels = gen.integers(0, classes, size=n)
+    train_mask = gen.random(n) < 0.1
+    params = init_params(16, hidden, classes, RngState(50), np.float64)
+    a1 = gen.standard_normal((n, 16)) @ params.w1
+    head = ModelParams(np.eye(hidden), gen.normal(0, 0.3, hidden), params.w2, params.b2)
+    exact = _ExactFlipLoss(adj, head, a1, labels, train_mask)
+    keys, _ = _ranked_flips(exact, np.empty(0, dtype=np.int64), 32)
+    s1_rows = sum(exact.prop.reach(np.array(divmod(key, n))).shape[0] for key in keys)
+    tracemalloc.start()
+    try:
+        losses = exact.losses_with(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert losses.shape == (32,)
+    bound = (n + s1_rows) * (hidden + classes) * 8
+    assert peak < bound, (peak, bound)
+
+
 def test_attack_base_and_candidate_losses_equal_full_recompute(monkeypatch):
     """Every evaluator a multi-flip attack builds (one per applied flip) and
     every loss it hands the greedy step equal the full recompute bitwise."""
@@ -446,10 +604,11 @@ def test_attack_base_and_candidate_losses_equal_full_recompute(monkeypatch):
             self.evaluated = []
             built.append(self)
 
-        def loss_with(self, u, v):
-            loss = super().loss_with(u, v)
-            self.evaluated.append((u, v, loss))
-            return loss
+        def losses_with(self, keys):
+            losses = super().losses_with(keys)
+            n = self.adj.dim
+            self.evaluated += [(key // n, key % n, loss) for key, loss in zip(keys, losses)]
+            return losses
 
     monkeypatch.setattr(attacks_mod, "_ExactFlipLoss", Recording)
     g = sbm_graph([25, 25], p_in=0.2, p_out=0.02, seed=7, feature_dim=8,
@@ -563,10 +722,18 @@ def test_factored_ranking_equals_dense_reference(seed, far, monkeypatch):
     assert (ref_scores[positive : positive + 6] == 0).all() == far
 
     shortlist = 2 + attacks_mod.GRAD_SHORTLIST  # relinearize_every + GRAD_SHORTLIST
+    default_pass = attacks_mod.SCORE_PASS_ELEMENTS
     for block in (1, 7 * n + 3, attacks_mod.SCORE_BLOCK_ELEMENTS):
         monkeypatch.setattr(attacks_mod, "SCORE_BLOCK_ELEMENTS", block)
         for k in (n * n, shortlist, positive + 5):
-            keys, scores = _ranked_flips(exact, flipped, k)
+            monkeypatch.setattr(attacks_mod, "SCORE_PASS_ELEMENTS", block)  # one pass a block
+            whole = _ranked_flips(exact, flipped, k)
+            # one row a pass, a pass that does not divide the block, the default
+            for chunk in (1, 2 * n + 1, default_pass):
+                monkeypatch.setattr(attacks_mod, "SCORE_PASS_ELEMENTS", chunk)
+                keys, scores = _ranked_flips(exact, flipped, k)
+                assert keys.tolist() == whole[0].tolist()
+                assert scores.tolist() == whole[1].tolist()
             assert keys.tolist() == ref_keys[:k].tolist()
             np.testing.assert_allclose(scores, ref_scores[:k], rtol=0, atol=1e-12)
 

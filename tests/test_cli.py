@@ -59,6 +59,28 @@ def test_grad_attack_prints_hit_rate(dataset, tmp_path, capsys):
     assert "flips were the top-ranked remaining candidate" in capsys.readouterr().out
 
 
+def test_grad_attack_says_how_many_flips_it_applied_and_why_it_stopped(
+    dataset, tmp_path, monkeypatch, capsys
+):
+    import sfrgnn.attacks as attacks_mod
+
+    args = ["attack", "--dataset", str(dataset), "--method", "grad",
+            "--ptb", "0.05", "--seed", "3", "--out", str(tmp_path / "plan.tsv")]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    budget = attacks_mod.load_plan(tmp_path / "plan.tsv").budget
+    assert "flips were the top-ranked remaining candidate" in lines[-2]
+    assert lines[-1] == f"applied {budget} of {budget} flips: budget spent"
+
+    # no pair ever raises the loss: the plan is short, and says so
+    monkeypatch.setattr(attacks_mod._ExactFlipLoss, "losses_with",
+                        lambda self, keys: np.full(keys.shape[0], self.loss))
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"applied 0 of {budget} flips: no shortlisted flip raises the loss after relinearizing"
+    )
+
+
 def test_bench_and_paired_effect(dataset, tmp_path):
     out = tmp_path / "timing.json"
     rc = main([

@@ -23,6 +23,7 @@ from .graph import (
     csr_from_keys,
     graph_stats,
     normalize_adjacency,
+    propagation_values,
 )
 from .nn import (
     ModelParams,
@@ -226,7 +227,7 @@ class _ExactFlipLoss:
         def deg_tilde(ids):  # degree + 1 after the entry's own candidate's toggle
             return self.deg_tilde[ids] + step * ((ids == u[cand]) | (ids == v[cand]))
 
-        return pos, cols, 1.0 / np.sqrt(deg_tilde(nodes[pos]) * deg_tilde(cols))
+        return pos, cols, propagation_values(deg_tilde(nodes[pos]), deg_tilde(cols))
 
     def losses_with(self, keys: np.ndarray) -> np.ndarray:
         """The exact loss with each pair u * n + v of `keys` toggled alone."""
@@ -280,9 +281,6 @@ class _ExactFlipLoss:
             picked[self.slot[out_node[block]]] = picked_new[block]
             losses[c] = -float(picked.mean())
         return losses
-
-    def loss_with(self, u: int, v: int) -> float:
-        return float(self.losses_with(np.array([u * self.adj.dim + v]))[0])
 
 
 GRAD_SHORTLIST = 32  # gradient-ranked candidates that get an exact loss evaluation
@@ -491,14 +489,6 @@ def apply_perturbation(g: Graph, plan: PerturbationPlan) -> Graph:
     flipped = np.array([min(u, v) * n + max(u, v) for _, u, v in plan.flips], dtype=np.int64)
     keys = np.setxor1d(g.adjacency.edge_keys(), flipped)
     return g.with_adjacency(csr_from_edge_pairs(n, np.stack([keys // n, keys % n], axis=1)))
-
-
-def invert_plan(plan: PerturbationPlan) -> PerturbationPlan:
-    """The plan that undoes every flip of `plan`."""
-    inverted = [
-        ("add" if action == "remove" else "remove", u, v) for action, u, v in plan.flips
-    ]
-    return PerturbationPlan(flips=inverted, budget=plan.budget, ptb_ratio=plan.ptb_ratio)
 
 
 def perturbation_stats(clean: Graph, perturbed: Graph) -> dict[str, float]:

@@ -84,10 +84,6 @@ class TrialResult:
     pretrain_epoch_ms: list[float]
     finetune_epoch_ms: list[float]
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialResult":
-        return cls(**d)
-
 
 def _median(values: list[float]) -> float | None:
     return float(np.median(values)) if values else None
@@ -122,15 +118,6 @@ class MetricsReport:
     environment: dict
     trials: list[TrialResult]
     aggregates: dict
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(
-            spec=d["spec"],
-            environment=d["environment"],
-            trials=[TrialResult.from_dict(t) for t in d["trials"]],
-            aggregates=d["aggregates"],
-        )
 
     def verify_consistency(self) -> None:
         recomputed = compute_aggregates(self.trials)
@@ -252,10 +239,6 @@ def format_accuracy(mean: float, std: float) -> str:
 
 def report_to_json(report: MetricsReport | PairedEffectReport | TimingReport) -> str:
     return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
-
-
-def report_from_json(text: str) -> MetricsReport:
-    return MetricsReport.from_dict(json.loads(text))
 
 
 def report_to_csv(report: MetricsReport) -> str:

@@ -36,7 +36,7 @@ class CsrAdjacency:
     values: np.ndarray  # float64, length nnz
     dim: int
     cols: int | None = None  # column count of a rectangular block; None: dim
-    # scipy copies of this matrix by dtype, filled by `nn.spmm`
+    # scipy forms of this matrix and its transpose by (dtype, transpose), filled by `nn.spmm`
     scipy_by_dtype: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -194,27 +194,18 @@ class Graph:
 
 
 def csr_from_keys(
-    n: int,
-    keys: np.ndarray,
-    deg_tilde: np.ndarray | None = None,
-    values: np.ndarray | None = None,
-    cols: int | None = None,
+    n: int, keys: np.ndarray, values: np.ndarray | None = None, cols: int | None = None
 ) -> CsrAdjacency:
     """The n x n CSR, or n x `cols`, with an entry at each int64 key
     i * width + j (width = `cols`, default n). Keys ascend by row i; each
     row stores its entries in the order given, which ascending keys make
-    column order. Entries take `values` (in key order), else
-    1/sqrt(deg_tilde_i * deg_tilde_j) when `deg_tilde` is given (square
-    only), else 1."""
+    column order. Entries take `values` (in key order), else 1."""
     width = n if cols is None else cols
-    rows, col_ids = keys // width, keys % width
-    if values is None and deg_tilde is None:
+    if values is None:
         values = np.ones(keys.shape[0])
-    elif values is None:
-        values = 1.0 / np.sqrt(deg_tilde[rows] * deg_tilde[col_ids])
     row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=row_offsets[1:])
-    return CsrAdjacency(row_offsets, col_ids, values, n, cols)
+    np.cumsum(np.bincount(keys // width, minlength=n), out=row_offsets[1:])
+    return CsrAdjacency(row_offsets, keys % width, values, n, cols)
 
 
 def csr_from_edge_pairs(n: int, pairs: np.ndarray) -> CsrAdjacency:
@@ -234,6 +225,12 @@ def csr_from_edge_pairs(n: int, pairs: np.ndarray) -> CsrAdjacency:
     return csr_from_keys(n, np.sort(np.concatenate([upper, (upper % n) * n + upper // n])))
 
 
+def propagation_values(dt_rows: np.ndarray, dt_cols: np.ndarray) -> np.ndarray:
+    """Entries 1/sqrt(dt_i * dt_j) of the propagation matrix, from the
+    self-loop degrees dt = degree + 1 of each entry's row and column."""
+    return 1.0 / np.sqrt(dt_rows * dt_cols)
+
+
 def normalize_adjacency(adj: CsrAdjacency) -> CsrAdjacency:
     """Symmetric propagation matrix: self-loops added, entry (i,j) = 1/sqrt(dt_i*dt_j)
     with dt_i = degree_i + 1. Isolated nodes keep a unit diagonal entry. Raises
@@ -241,8 +238,9 @@ def normalize_adjacency(adj: CsrAdjacency) -> CsrAdjacency:
     adjacency."""
     adj.validate(binary=True)
     n = adj.dim
-    keys = np.concatenate([adj.entry_rows() * n + adj.col_indices, np.arange(n) * (n + 1)])
-    return csr_from_keys(n, np.sort(keys), adj.degrees().astype(np.float64) + 1.0)
+    keys = np.sort(np.concatenate([adj.entry_rows() * n + adj.col_indices, np.arange(n) * (n + 1)]))
+    dt = adj.degrees().astype(np.float64) + 1.0
+    return csr_from_keys(n, keys, values=propagation_values(dt[keys // n], dt[keys % n]))
 
 
 def make_split(n: int, train_ratio: float, val_ratio: float, seed: int) -> SplitMasks:

@@ -9,15 +9,18 @@ Shapes: x is N x d, w1 is d x F, w2 is F x C. Propagation `prop` is either a
 normalized CSR adjacency or None, in which case the propagation step is
 skipped entirely (mathematically f(X, I)) and the graph is never touched.
 
-Propagation is the one edge-dependent kernel: a scipy CSR product, which
-accumulates each output row in stored column order, so it is bitwise
-deterministic run to run.
+Propagation is the one edge-dependent kernel: a scipy product with P, which
+sums each output row in stored column order, or, in the backward pass, with
+P^T, which sums output row j over column j's entries in ascending row. So it
+is bitwise deterministic run to run, and `gcn_backward` is the exact adjoint
+of `gcn_forward` for any P, symmetric or not.
 
 A pass computes every row, or only the rows of a `RowPlan`: layer 2 on the
 rows a loss reads, layer 1 on the rows those read, x on the rows layer 1
 reads, with P sliced to match. Each row is the same computation either way:
-a row of a sliced P holds the row's entries of P in stored order, and the
-dropout mask is drawn for all N rows and then cut.
+a row of a sliced P holds the row's entries of P in stored order, a column
+its column's entries in ascending row, and the dropout mask is drawn for all
+N rows and then cut.
 
 The feature matrix enters the products x @ w1 and x.T @ da1 as the operand
 `feature_operand` returns: scipy CSR when at most FEATURE_CSR_MAX_DENSITY of
@@ -49,30 +52,30 @@ _counter = threading.local()  # per-thread so concurrent trials count independen
 
 
 def spmm_calls() -> int:
-    """This thread's propagation calls since the last reset."""
+    """This thread's propagation calls so far; callers count by differences."""
     return getattr(_counter, "calls", 0)
 
 
-def reset_spmm_calls() -> None:
-    _counter.calls = 0
+def spmm(adj: CsrAdjacency, h: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Propagate: adj @ h, or adj.T @ h with `transpose`, in h's dtype.
 
-
-def spmm(adj: CsrAdjacency, h: np.ndarray) -> np.ndarray:
-    """Propagate: out[i] = sum_j adj[i, j] * h[j], in h's dtype.
-
-    The scipy matrix is built at the first propagation in each dtype and kept
-    on `adj` for the next ones; no caller writes to a CsrAdjacency's arrays
-    after constructing it."""
-    if adj.shape[1] != h.shape[0]:
-        raise ValidationError(f"spmm dimension mismatch: {adj.shape[1]} vs {h.shape[0]}")
+    adj.T is a scipy CSC view of adj's arrays, which sums output row j over
+    column j's stored entries in ascending row. Each scipy matrix is built at
+    the first propagation in its dtype and kept on `adj` for the next ones;
+    no caller writes to a CsrAdjacency's arrays after constructing it."""
+    inner = adj.shape[0] if transpose else adj.shape[1]
+    if inner != h.shape[0]:
+        raise ValidationError(f"spmm dimension mismatch: {inner} vs {h.shape[0]}")
     _counter.calls = getattr(_counter, "calls", 0) + 1
-    matrix = adj.scipy_by_dtype.get(h.dtype)
+    matrix = adj.scipy_by_dtype.get((h.dtype, transpose))
     if matrix is None:
         from scipy.sparse import csr_matrix
 
         values = adj.values.astype(h.dtype, copy=False)
         matrix = csr_matrix((values, adj.col_indices, adj.row_offsets), shape=adj.shape)
-        adj.scipy_by_dtype[h.dtype] = matrix
+        if transpose:
+            matrix = matrix.T  # CSC over the same arrays
+        adj.scipy_by_dtype[h.dtype, transpose] = matrix
     return matrix @ h
 
 
@@ -170,38 +173,28 @@ class RowPlan:
     A loss that reads only the output rows T needs layer 2 on T, layer 1 on
     the rows R1 that layer 2 reads (T and their neighbours) and x on the rows
     R2 that layer 1 reads (R1 and their neighbours). The forward products are
-    P[R1, R2] and P[T, R1], the backward ones P[R1, T] and P[R2, R1]; for the
-    whole graph all four are P. Without propagation R1 = R2 = T. `None` rows
-    mean every row. Dropout is drawn for all `num_nodes` rows and cut to R1,
-    so a subset pass keeps the random stream of the full one.
+    P[R1, R2] and P[T, R1], the backward ones their transposes (`spmm`'s
+    `transpose`); for the whole graph both are P. Without propagation
+    R1 = R2 = T. `None` rows mean every row. Dropout is drawn for all rows and
+    cut to R1, so a subset pass keeps the random stream of the full one.
     """
 
-    num_nodes: int
     hidden_rows: np.ndarray | None = None  # R1
     input_rows: np.ndarray | None = None  # R2
     layer1: CsrAdjacency | None = None  # P[R1, R2]
     layer2: CsrAdjacency | None = None  # P[T, R1]
-    back2: CsrAdjacency | None = None  # P[R1, T]
-    back1: CsrAdjacency | None = None  # P[R2, R1]
 
     @classmethod
-    def full(cls, prop: CsrAdjacency | None, num_nodes: int) -> "RowPlan":
-        return cls(num_nodes, layer1=prop, layer2=prop, back2=prop, back1=prop)
-
-    @classmethod
-    def closure(cls, prop: CsrAdjacency | None, out_rows: np.ndarray, num_nodes: int) -> "RowPlan":
+    def closure(cls, prop: CsrAdjacency | None, out_rows: np.ndarray) -> "RowPlan":
         """The plan of a loss on the ascending ids `out_rows`. Each sliced
         matrix keeps its rows' stored entries in stored order, so every row
-        it computes is summed as in the full product."""
+        it computes, and every column its transpose computes, is summed as
+        in the full product."""
         if prop is None:
-            return cls(num_nodes, out_rows, out_rows)
+            return cls(out_rows, out_rows)
         r1 = prop.reach(out_rows)
         r2 = prop.reach(r1)
-        return cls(
-            num_nodes, r1, r2,
-            prop.block(r1, r2), prop.block(out_rows, r1),
-            prop.block(r1, out_rows), prop.block(r2, r1),
-        )
+        return cls(r1, r2, prop.block(r1, r2), prop.block(out_rows, r1))
 
 
 @dataclass
@@ -268,7 +261,7 @@ def gcn_forward(
         raise ValidationError("dropout_p must lie in [0, 1)")
     dtype = params.w1.dtype
     x = x.astype(dtype, copy=False)
-    plan = prop if isinstance(prop, RowPlan) else RowPlan.full(prop, x.shape[0])
+    plan = prop if isinstance(prop, RowPlan) else RowPlan(layer1=prop, layer2=prop)
 
     a1 = x @ params.w1
     s1 = spmm(plan.layer1, a1) if plan.layer1 is not None else a1
@@ -294,13 +287,13 @@ def gcn_forward(
 
 
 def _backward_to_s1(cache: ForwardCache, grad_log_probs, grad_hidden):
-    """Shared backward core: returns (dlogits, da2, ds1)."""
+    """Shared backward core: returns (dlogits, da2 = layer2^T dlogits, ds1)."""
     p = cache.params
     probs = np.exp(cache.log_probs)
     dlogits = grad_log_probs - probs * grad_log_probs.sum(axis=1, keepdims=True)
     dlogits = dlogits.astype(p.w1.dtype, copy=False)
-    back2 = cache.plan.back2
-    da2 = spmm(back2, dlogits) if back2 is not None else dlogits
+    layer2 = cache.plan.layer2
+    da2 = spmm(layer2, dlogits, transpose=True) if layer2 is not None else dlogits
     dhd = da2 @ p.w2.T
     dh = dhd * cache.drop_scale if cache.drop_scale is not None else dhd
     if grad_hidden is not None:
@@ -314,15 +307,16 @@ def gcn_backward(
     grad_log_probs: np.ndarray,
     grad_hidden: np.ndarray | None = None,
 ) -> ParamGrads:
-    """Exact analytic parameter gradients of the cached forward pass.
+    """Exact analytic parameter gradients of the cached forward pass, for any
+    P: each backward propagation multiplies by its forward operand's transpose.
 
     `grad_hidden`, when given, is an extra upstream gradient injected at the
     post-ReLU pre-dropout hidden representation (the contrastive surface).
     """
     p = cache.params
     dlogits, da2, ds1 = _backward_to_s1(cache, grad_log_probs, grad_hidden)
-    back1 = cache.plan.back1
-    da1 = spmm(back1, ds1) if back1 is not None else ds1
+    layer1 = cache.plan.layer1
+    da1 = spmm(layer1, ds1, transpose=True) if layer1 is not None else ds1
     return ParamGrads(
         w1=cache.x.T @ da1,
         b1=ds1.sum(axis=0),

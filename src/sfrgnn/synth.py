@@ -51,13 +51,3 @@ def sbm_graph(
         name=name,
     )
 
-
-def edge_count_variant(g: Graph, factor: float, seed: int) -> Graph:
-    """Same nodes/features/labels/splits, edge set thinned to ~`factor` of E."""
-    if not (0.0 < factor <= 1.0):
-        raise ValidationError("factor must lie in (0, 1]")
-    pairs = g.adjacency.edge_pairs()
-    keep_n = max(1, int(round(factor * pairs.shape[0])))
-    gen = RngState(seed).substream("edge-thin").generator()
-    idx = gen.choice(pairs.shape[0], size=keep_n, replace=False)
-    return g.with_adjacency(csr_from_edge_pairs(g.num_nodes, pairs[np.sort(idx)]))

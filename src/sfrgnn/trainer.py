@@ -16,13 +16,15 @@ its augmented view is None, the contrastive term added.
 
 An epoch computes only the rows its losses read. Both losses read the
 training rows T, so layer 2 runs on T, layer 1 on R1 = T + N(T) and x @ w1 on
-R2 = R1 + N(R1); without propagation all three are T (`nn.RowPlan`). The
-rows left out get no gradient in the full pass either, so the result is the
-full pass's: every sparse product sums each row in stored order and the
-omitted rows add only exact zeros to the weight-gradient products and to the
-bias sums. The one exception by design is a dense BLAS product on a row
-subset, which may round otherwise (`hd @ w2`, `hd.T @ da2`, and x's products
-when features are dense). Prediction runs the full pass.
+R2 = R1 + N(R1); without propagation all three are T. `nn.RowPlan` holds the
+two operands P[T, R1] and P[R1, R2]; the backward pass uses their transposes.
+The rows left out get no gradient in the full pass either, so the result is
+the full pass's: every sparse product sums each output row as the full one
+does (a row of P in stored order, a column in ascending row) and the omitted
+rows add only exact zeros to the weight-gradient products and to the bias
+sums. The one exception by design is a dense BLAS product on a row subset,
+which may round otherwise (`hd @ w2`, `hd.T @ da2`, and x's products when
+features are dense). Prediction runs the full pass.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def _supervised_loop(
     """
     dtype = cfg.dtype
     train_ids = np.flatnonzero(g.splits.train)
-    plan = RowPlan.closure(prop, train_ids, g.num_nodes)
+    plan = RowPlan.closure(prop, train_ids)
     x = feature_operand(g.features, dtype, g.feature_operands)[plan.input_rows]
     labels = g.labels[train_ids]
     every = np.ones(train_ids.shape[0], dtype=bool)
@@ -189,7 +191,7 @@ def _supervised_loop(
     state = AdamState.zeros_like(params)
     if view is not None:
         aug, prop_aug, mask = view
-        plan_aug = plan if prop_aug is prop else RowPlan.closure(prop_aug, train_ids, g.num_nodes)
+        plan_aug = plan if prop_aug is prop else RowPlan.closure(prop_aug, train_ids)
         x_aug = feature_operand(aug.x_inter, dtype)[plan_aug.input_rows]
         anchors, anchors_aug = mask[plan.hidden_rows], mask[plan_aug.hidden_rows]
     zero_lp = None
@@ -364,7 +366,8 @@ def jaccard_prune(g: Graph, threshold: float = JACCARD_THRESHOLD) -> Graph:
 
 
 def train(g: Graph, cfg: TrainConfig, variant: str, rng: RngState) -> TrainedModel:
-    """Train one variant end to end. Dispatch:
+    """Train one variant end to end; mlp, sfr_no_fin, gcn and gcn_jaccard,
+    which train only in pretraining epochs, refuse pretrain_epochs=0. Dispatch:
 
     sfr          pretrain -> inter-class augmentation -> contrastive finetune
     sfr_no_cl    pretrain -> finetune without the contrastive term
@@ -378,6 +381,8 @@ def train(g: Graph, cfg: TrainConfig, variant: str, rng: RngState) -> TrainedMod
     cfg.validate()
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if cfg.pretrain_epochs == 0 and variant in ("mlp", "sfr_no_fin", "gcn", "gcn_jaccard"):
+        raise ValidationError(f"variant {variant!r} trains only in pretrain_epochs, which is 0")
     g.validate()
 
     if variant in ("mlp", "sfr_no_fin"):

@@ -18,10 +18,10 @@ from sfrgnn.bench import (
     paired_effect_probe,
     run_experiment,
 )
-from sfrgnn.graph import write_graph
+from sfrgnn.graph import csr_from_edge_pairs, write_graph
 from sfrgnn.nn import check_gradients, gcn_forward
 from sfrgnn.rng import RngState
-from sfrgnn.synth import edge_count_variant, sbm_graph
+from sfrgnn.synth import sbm_graph
 from sfrgnn.trainer import TrainConfig, internaa, pretrain, train
 
 from conftest import build_graph
@@ -209,7 +209,10 @@ def test_a7c_pretrain_time_independent_of_edges():
     t0 = time.perf_counter()
     g_dense = sbm_graph([400, 400], p_in=0.025, p_out=0.005, seed=71, feature_dim=32,
                         train_ratio=0.2, val_ratio=0.2)
-    g_sparse = edge_count_variant(g_dense, factor=0.1, seed=72)
+    pairs = g_dense.adjacency.edge_pairs()  # thinned to a tenth of the edges
+    thin = RngState(72).substream("edge-thin").generator()
+    kept = np.sort(thin.choice(pairs.shape[0], size=round(0.1 * pairs.shape[0]), replace=False))
+    g_sparse = g_dense.with_adjacency(csr_from_edge_pairs(g_dense.num_nodes, pairs[kept]))
     e_dense = g_dense.adjacency.nnz // 2
     e_sparse = g_sparse.adjacency.nnz // 2
     assert e_dense >= 9 * e_sparse  # ~10x edge-count difference

@@ -164,6 +164,17 @@ def test_zero_repeats_exits_one(dataset, tmp_path, capsys, command, extra):
     assert not out.exists()
 
 
+def test_variant_without_training_epochs_exits_one(dataset, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    rc = main([
+        "train", "--dataset", str(dataset), "--variant", "gcn", "--repeats", "1",
+        "--pretrain-epochs", "0", "--finetune-epochs", "5", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "variant 'gcn' trains only in pretrain_epochs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _train_args(dataset, tmp_path, *extra):
     return [
         "train", "--dataset", str(dataset), "--variant", "gcn", "--repeats", "1",

@@ -52,23 +52,23 @@ def test_spmm_dimension_mismatch():
         spmm(adj, np.ones((4, 2)))
 
 
-def test_call_counter_increments_and_resets():
+def test_call_counter_counts_each_call():
     adj = random_symmetric_csr(6, 0.5, seed=3)
     h = np.ones((6, 2))
-    nn.reset_spmm_calls()
+    before = nn.spmm_calls()
     spmm(adj, h)
-    spmm(adj, h)
-    assert nn.spmm_calls() == 2
-    nn.reset_spmm_calls()
-    assert nn.spmm_calls() == 0
+    spmm(adj, h, transpose=True)
+    assert nn.spmm_calls() - before == 2
 
 
-def scatter_add_reference(adj, h):
-    """Row-ordered scatter-add spmm: each output row accumulates its stored
-    entries in CSR order, starting from zero, in h's dtype."""
-    out = np.zeros((adj.dim, h.shape[1]), dtype=h.dtype)
+def scatter_add_reference(adj, h, transpose=False):
+    """Scatter-add spmm in stored order, starting from zero, in h's dtype:
+    each stored entry (i, j) adds into output row i, or with `transpose`
+    into output row j."""
     rows = np.repeat(np.arange(adj.dim), adj.degrees())
-    np.add.at(out, rows, adj.values.astype(h.dtype)[:, None] * h[adj.col_indices])
+    src, dst = (rows, adj.col_indices) if transpose else (adj.col_indices, rows)
+    out = np.zeros((adj.shape[1] if transpose else adj.dim, h.shape[1]), dtype=h.dtype)
+    np.add.at(out, dst, adj.values.astype(h.dtype)[:, None] * h[src])
     return out
 
 
@@ -80,16 +80,21 @@ def test_spmm_bitwise_equals_scatter_add_reference():
         ),
         "edgeless": csr_from_edge_pairs(40, np.empty((0, 2), dtype=np.int64)),
     }
+    # every other row of the normalized matrix: rectangular and not symmetric
+    cases["row_block"] = cases["normalized"].block(np.arange(0, 40, 2), np.arange(40))
     assert np.count_nonzero(cases["raw_with_isolated_rows"].degrees() == 0) > 30
     rng = np.random.default_rng(5)
     for name, adj in cases.items():
         for dtype in (np.float32, np.float64):
             for cols in (1, 7, 16):
-                h = rng.standard_normal((40, cols)).astype(dtype)
-                out = spmm(adj, h)
-                ref = scatter_add_reference(adj, h)
-                assert out.dtype == dtype and out.shape == ref.shape, (name, dtype)
-                assert out.tobytes() == ref.tobytes(), (name, dtype, cols)
+                for transpose in (False, True):
+                    inner = adj.shape[0] if transpose else adj.shape[1]
+                    h = rng.standard_normal((inner, cols)).astype(dtype)
+                    out = spmm(adj, h, transpose=transpose)
+                    ref = scatter_add_reference(adj, h, transpose)
+                    case = (name, dtype, cols, transpose)
+                    assert out.dtype == dtype and out.shape == ref.shape, case
+                    assert out.tobytes() == ref.tobytes(), case
 
 
 def test_kernel_bitwise_deterministic_across_calls():

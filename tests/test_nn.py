@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfrgnn.errors import ValidationError
-from sfrgnn.graph import normalize_adjacency
+from sfrgnn.graph import csr_from_keys, normalize_adjacency
 from sfrgnn.nn import (
     FEATURE_CSR_MAX_DENSITY,
     AdamState,
@@ -308,17 +308,48 @@ def test_mutated_backward_is_flagged():
     assert relative_gradient_error(params_to_vector(grads), numeric) > 1e-2
 
 
+def test_backward_is_the_adjoint_for_a_non_symmetric_propagation():
+    # a 6-node P whose pattern and values are both not symmetric, so a
+    # backward pass that multiplied by P instead of P^T would be far off
+    gen = np.random.default_rng(12)
+    pattern = gen.random((6, 6)) < 0.5
+    np.fill_diagonal(pattern, True)
+    rows, cols = np.nonzero(pattern)
+    prop = csr_from_keys(6, rows * 6 + cols, values=gen.uniform(0.1, 1.0, rows.shape[0]))
+    dense = prop.to_dense()
+    assert not np.array_equal(pattern, pattern.T) and not np.array_equal(dense, dense.T)
+    x = gen.standard_normal((6, 4))
+    labels = gen.integers(0, 3, size=6)
+    mask = np.array([True, False, True, True, False, True])
+    params = init_params(4, 3, 3, RngState(13), dtype=np.float64)
+    keep = dropout_mask(RngState(14), (6, 3), 0.5)
+    for p_drop, mask_keep in ((0.0, None), (0.5, keep)):
+        lp, cache = gcn_forward(params, x, prop, p_drop, mask_keep)
+        grads = gcn_backward(cache, nll_loss(lp, labels, mask)[1])
+
+        def loss_of(vec):
+            lp2, _ = gcn_forward(vector_to_params(vec, params), x, prop, p_drop, mask_keep)
+            return nll_loss(lp2, labels, mask)[0]
+
+        numeric = finite_difference_grad(loss_of, params_to_vector(params))
+        assert relative_gradient_error(params_to_vector(grads), numeric) < 1e-5, p_drop
+
+
 def test_spmm_reuses_one_scipy_matrix_per_dtype():
     g = build_graph(5, [(0, 1), (1, 2), (3, 4)], [0, 1, 0, 1, 0])
     prop = normalize_adjacency(g.adjacency)
     h64 = np.random.default_rng(11).standard_normal((5, 3))
     for h in (h64, h64.astype(np.float32)):
-        first = spmm(prop, h)
-        matrix = prop.scipy_by_dtype[h.dtype]
-        again = spmm(prop, h)
-        assert prop.scipy_by_dtype[h.dtype] is matrix
-        assert again.dtype == h.dtype and np.array_equal(again, first)
-    assert len(prop.scipy_by_dtype) == 2
+        for transpose in (False, True):
+            first = spmm(prop, h, transpose=transpose)
+            matrix = prop.scipy_by_dtype[h.dtype, transpose]
+            again = spmm(prop, h, transpose=transpose)
+            assert prop.scipy_by_dtype[h.dtype, transpose] is matrix
+            assert again.dtype == h.dtype and np.array_equal(again, first)
+        back = prop.scipy_by_dtype[h.dtype, True]  # a CSC view of P's arrays
+        assert back.format == "csc" and back.shape == prop.shape[::-1]
+    assert np.shares_memory(prop.scipy_by_dtype[h64.dtype, True].data, prop.values)
+    assert len(prop.scipy_by_dtype) == 4
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])

@@ -62,6 +62,21 @@ def test_pretrain_zero_epochs_returns_init_params():
     assert params_equal(params, expected)
 
 
+@pytest.mark.parametrize("variant", ["gcn", "gcn_jaccard", "mlp", "sfr_no_fin"])
+def test_variant_that_trains_only_in_pretraining_refuses_zero_pretrain_epochs(variant):
+    # these variants never fine-tune, so 0 pretraining epochs would return the
+    # untrained init params, at chance accuracy, without an error
+    g = sbm_graph([20, 20], p_in=0.4, p_out=0.05, seed=3, feature_dim=6)
+    with pytest.raises(ValidationError, match=f"variant '{variant}'"):
+        train(g, small_cfg(pretrain_epochs=0, finetune_epochs=5), variant, RngState(1))
+
+
+def test_fine_tuned_variant_trains_with_zero_pretrain_epochs():
+    g = sbm_graph([20, 20], p_in=0.4, p_out=0.05, seed=3, feature_dim=6)
+    model = train(g, small_cfg(pretrain_epochs=0, finetune_epochs=5), "sfr_no_cl", RngState(1))
+    assert model.history.pretrain.epochs == 0 and model.history.finetune.epochs == 5
+
+
 def logistic_regression_accuracy(x, y, train_mask, epochs=500, lr=0.5):
     """Independent oracle: plain batch gradient-descent logistic regression."""
     classes = int(y.max()) + 1

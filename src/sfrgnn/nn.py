@@ -18,14 +18,15 @@ of `gcn_forward` for any P, symmetric or not.
 A pass computes every row, or only the rows of a `RowPlan`: layer 2 on the
 rows a loss reads, layer 1 on the rows those read, x on the rows layer 1
 reads, with P sliced to match. Each row is the same computation either way:
-a row of a sliced P holds the row's entries of P in stored order, a column
-its column's entries in ascending row, and the dropout mask is drawn for all
-N rows and then cut.
+a row of a sliced P holds the row's entries of P in stored order, and a
+column its column's entries in ascending row. The dropout mask covers the
+rows layer 1 computes: R1 for a plan, every row for a full pass.
 
 The feature matrix enters the products x @ w1 and x.T @ da1 as the operand
 `feature_operand` returns: scipy CSR when at most FEATURE_CSR_MAX_DENSITY of
 its entries are nonzero (bag-of-words inputs such as Cora's, 1.3%), else the
-ndarray itself, so dense-feature graphs run the dense BLAS products. Feature
+ndarray itself, so dense-feature graphs run the dense BLAS products; a loop
+over one x builds the transpose once (`feature_transpose`). Feature
 products do not go through `spmm` and are not counted as propagations.
 scipy is imported at the first propagation or the first sparse feature
 operand, not when a graph is loaded.
@@ -103,6 +104,14 @@ def feature_operand(x: np.ndarray, dtype, cache: dict | None = None):
     return operand
 
 
+def feature_transpose(x):
+    """x.T for the product x.T @ da1: the view of an ndarray, and for a scipy
+    CSR operand its transpose laid out as CSR. Either way the product sums
+    each output row over x's rows in ascending order, as the CSC view x.T
+    does, so its bytes are the same; the CSR product is the faster one."""
+    return x.T if isinstance(x, np.ndarray) else x.T.tocsr()
+
+
 def _csr_features(x: np.ndarray, nonzero: np.ndarray, dtype):
     """scipy CSR copy of the N x d array x whose nonzero pattern is `nonzero`,
     columns ascending in each row."""
@@ -175,8 +184,8 @@ class RowPlan:
     R2 that layer 1 reads (R1 and their neighbours). The forward products are
     P[R1, R2] and P[T, R1], the backward ones their transposes (`spmm`'s
     `transpose`); for the whole graph both are P. Without propagation
-    R1 = R2 = T. `None` rows mean every row. Dropout is drawn for all rows and
-    cut to R1, so a subset pass keeps the random stream of the full one.
+    R1 = R2 = T. `None` rows mean every row. A train-mode pass on a plan takes
+    a dropout mask of |R1| rows, one per row of `hidden_rows`.
     """
 
     hidden_rows: np.ndarray | None = None  # R1
@@ -235,12 +244,15 @@ def gcn_log_probs(s2: np.ndarray, b2: np.ndarray) -> np.ndarray:
     return _log_softmax(logits)
 
 
-def dropout_mask(rng: RngState, shape: tuple[int, int], dropout_p: float) -> np.ndarray | None:
-    """Keep mask of inverted dropout at rate `dropout_p`, drawn from rng's
-    "dropout" substream; None when dropout_p is 0."""
+def dropout_mask(
+    gen: np.random.Generator, shape: tuple[int, int], dropout_p: float
+) -> np.ndarray | None:
+    """Keep mask of inverted dropout at rate `dropout_p`: the next `shape`
+    uniforms of `gen`, so successive calls draw successive masks; None, and
+    no draw, when dropout_p is 0."""
     if dropout_p == 0.0:
         return None
-    return rng.substream("dropout").generator().random(shape) < 1.0 - dropout_p
+    return gen.random(shape) < 1.0 - dropout_p
 
 
 def gcn_forward(
@@ -253,10 +265,10 @@ def gcn_forward(
     """Two-layer forward pass. With prop=None the propagation step is skipped
     (pure MLP over attributes); a CsrAdjacency P computes every row; a
     RowPlan computes its rows, with x given on its input rows. Dropout at
-    rate `dropout_p` hits the hidden layer when a `keep_mask` is given, drawn
-    by `dropout_mask` for every row (train mode); without one the pass is in
-    eval mode. Returns row-wise log-softmax of the output rows and the cache
-    backward needs."""
+    rate `dropout_p` hits the hidden layer when a `keep_mask` is given (train
+    mode), one row per row layer 1 computes: the plan's `hidden_rows`, or
+    every row; without one the pass is in eval mode. Returns row-wise
+    log-softmax of the output rows and the cache backward needs."""
     if not (0.0 <= dropout_p < 1.0):
         raise ValidationError("dropout_p must lie in [0, 1)")
     dtype = params.w1.dtype
@@ -270,8 +282,6 @@ def gcn_forward(
     drop_scale = None
     hd = h
     if keep_mask is not None:
-        if plan.hidden_rows is not None:
-            keep_mask = keep_mask[plan.hidden_rows]
         drop_scale = (keep_mask / (1.0 - dropout_p)).astype(dtype)
         hd = h * drop_scale
 
@@ -306,19 +316,23 @@ def gcn_backward(
     cache: ForwardCache,
     grad_log_probs: np.ndarray,
     grad_hidden: np.ndarray | None = None,
+    x_t=None,
 ) -> ParamGrads:
     """Exact analytic parameter gradients of the cached forward pass, for any
     P: each backward propagation multiplies by its forward operand's transpose.
 
     `grad_hidden`, when given, is an extra upstream gradient injected at the
     post-ReLU pre-dropout hidden representation (the contrastive surface).
+    `x_t`, when given, is the cached x's transpose as `feature_transpose`
+    builds it, so a loop over one x builds it once; the gradient's bytes are
+    those of `cache.x.T`.
     """
     p = cache.params
     dlogits, da2, ds1 = _backward_to_s1(cache, grad_log_probs, grad_hidden)
     layer1 = cache.plan.layer1
     da1 = spmm(layer1, ds1, transpose=True) if layer1 is not None else ds1
     return ParamGrads(
-        w1=cache.x.T @ da1,
+        w1=(cache.x.T if x_t is None else x_t) @ da1,
         b1=ds1.sum(axis=0),
         w2=cache.hd.T @ da2,
         b2=dlogits.sum(axis=0),
@@ -522,9 +536,22 @@ def _random_instance(rng: RngState, n=6, d=4, hidden=3, classes=3):
     return x, labels, mask, normalize_adjacency(adj), params
 
 
+def _non_symmetric_prop(gen: np.random.Generator, n: int, density: float) -> CsrAdjacency:
+    """An n x n propagation matrix: the diagonal and each other entry with
+    probability `density`, values uniform in [0.1, 1), so neither pattern nor
+    values are symmetric."""
+    from .graph import csr_from_keys
+
+    pattern = gen.random((n, n)) < density
+    np.fill_diagonal(pattern, True)
+    keys = np.flatnonzero(pattern)  # i * n + j, ascending
+    return csr_from_keys(n, keys, values=gen.uniform(0.1, 1.0, keys.shape[0]))
+
+
 def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     """Finite-difference suites for the GCN backward (parameters and
-    propagation matrix), NLL, and InfoNCE."""
+    propagation matrix, symmetric or not, full-graph or on a RowPlan), NLL,
+    and InfoNCE."""
     report = GradCheckReport()
     x, labels, mask, prop, params = _random_instance(rng)
 
@@ -541,9 +568,27 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
 
     report.errors["gcn_backward/propagated"] = param_grad_error(x, labels, mask, prop, params)
     report.errors["gcn_backward/no_prop"] = param_grad_error(x, labels, mask, None, params)
-    keep = dropout_mask(rng.substream("gradcheck-dropout"), (x.shape[0], params.w1.shape[1]), 0.5)
+    hidden = params.w1.shape[1]
+    keep = dropout_mask(rng.substream("gradcheck-dropout").generator(), (x.shape[0], hidden), 0.5)
     report.errors["gcn_backward/train_dropout"] = param_grad_error(
         x, labels, mask, prop, params, 0.5, keep
+    )
+    # a backward pass that multiplied by P where the chain rule needs P^T
+    # passes every symmetric case above and fails this one
+    gen = rng.substream("gradcheck-asym").generator()
+    report.errors["gcn_backward/non_symmetric"] = param_grad_error(
+        x, labels, mask, _non_symmetric_prop(gen, x.shape[0], 0.5), params
+    )
+    # train mode on the RowPlan of a sparser non-symmetric P: x on R2, the
+    # loss on the output rows T, the dropout mask on R1 only
+    n_plan = 24
+    out_rows = np.sort(gen.permutation(n_plan)[:5])
+    plan = RowPlan.closure(_non_symmetric_prop(gen, n_plan, 0.08), out_rows)
+    x_plan = gen.standard_normal((n_plan, x.shape[1]))[plan.input_rows]
+    labels_plan = gen.integers(0, params.w2.shape[1], size=out_rows.shape[0])
+    keep_r1 = dropout_mask(gen, (plan.hidden_rows.shape[0], hidden), 0.5)
+    report.errors["gcn_backward/row_plan_dropout"] = param_grad_error(
+        x_plan, labels_plan, np.ones(out_rows.shape[0], dtype=bool), plan, params, 0.5, keep_r1
     )
     # square (N = d), so that a transposed feature operand keeps its shape and
     # shows as a wrong gradient; row 0 and column 1 of the CSR x are all zero

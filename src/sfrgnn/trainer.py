@@ -25,6 +25,9 @@ rows add only exact zeros to the weight-gradient products and to the bias
 sums. The one exception by design is a dense BLAS product on a row subset,
 which may round otherwise (`hd @ w2`, `hd.T @ da2`, and x's products when
 features are dense). Prediction runs the full pass.
+
+Dropout is drawn only for the rows layer 1 computes: R1, or T without
+propagation, so pretraining's stream does not depend on the edges either.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .nn import (
     adam_step,
     dropout_mask,
     feature_operand,
+    feature_transpose,
     gcn_backward,
     gcn_forward,
     infonce_loss,
@@ -178,34 +182,49 @@ def _supervised_loop(
 
     Every epoch computes only the rows the losses read: the plan
     `RowPlan.closure` of the training rows, sliced once per call (the view
-    gets its own when prop_aug is not prop).
+    gets its own when prop_aug is not prop). Each epoch's dropout mask is the
+    next draw of one generator per call, for the plan's R1 rows only; when
+    the view has its own plan, one draw covers the sorted union of both R1
+    sets and each view takes its rows of it, so a node in both keeps one
+    mask row.
     """
     dtype = cfg.dtype
     train_ids = np.flatnonzero(g.splits.train)
     plan = RowPlan.closure(prop, train_ids)
     x = feature_operand(g.features, dtype, g.feature_operands)[plan.input_rows]
+    x_t = feature_transpose(x)
     labels = g.labels[train_ids]
     every = np.ones(train_ids.shape[0], dtype=bool)
     if params is None:
         params = init_params(x.shape[1], cfg.hidden, g.num_classes, rng, dtype)
     state = AdamState.zeros_like(params)
+    drop_rows = plan.hidden_rows
     if view is not None:
         aug, prop_aug, mask = view
         plan_aug = plan if prop_aug is prop else RowPlan.closure(prop_aug, train_ids)
         x_aug = feature_operand(aug.x_inter, dtype)[plan_aug.input_rows]
+        x_aug_t = feature_transpose(x_aug)
         anchors, anchors_aug = mask[plan.hidden_rows], mask[plan_aug.hidden_rows]
+        if plan_aug is not plan:
+            drop_rows = np.union1d(plan.hidden_rows, plan_aug.hidden_rows)
+            own = np.searchsorted(drop_rows, plan.hidden_rows)
+            own_aug = np.searchsorted(drop_rows, plan_aug.hidden_rows)
+    drop_gen = rng.substream(f"{stage_name}-dropout").generator()
     zero_lp = None
-    for epoch in range(epochs):
+    for _ in range(epochs):
         calls0 = spmm_calls()
         t0 = time.perf_counter()
-        drop_rng = rng.substream(f"{stage_name}-dropout-{epoch}")
-        keep = dropout_mask(drop_rng, (g.num_nodes, params.w1.shape[1]), cfg.dropout)
+        keep = keep_aug = dropout_mask(
+            drop_gen, (drop_rows.shape[0], params.w1.shape[1]), cfg.dropout
+        )
+        if keep is not None and drop_rows is not plan.hidden_rows:
+            keep, keep_aug = keep[own], keep[own_aug]
         log_probs, cache = gcn_forward(params, x, plan, cfg.dropout, keep)
         loss, grad_lp = nll_loss(log_probs, labels, every)
         if view is None:
-            grads = gcn_backward(cache, grad_lp)
+            grads = gcn_backward(cache, grad_lp, x_t=x_t)
         else:
-            _, cache_aug = gcn_forward(params, x_aug, plan_aug, cfg.dropout, keep)
+            _, cache_aug = gcn_forward(params, x_aug, plan_aug, cfg.dropout, keep_aug)
             loss_c, grad_h, grad_h_aug = infonce_loss(
                 cache.h, cache_aug.h, anchors, cfg.temperature, anchors_aug
             )
@@ -213,8 +232,8 @@ def _supervised_loop(
             if zero_lp is None:
                 zero_lp = np.zeros_like(log_probs)
             grads = _add_grads(
-                gcn_backward(cache, grad_lp, grad_hidden=grad_h),
-                gcn_backward(cache_aug, zero_lp, grad_hidden=grad_h_aug),
+                gcn_backward(cache, grad_lp, grad_hidden=grad_h, x_t=x_t),
+                gcn_backward(cache_aug, zero_lp, grad_hidden=grad_h_aug, x_t=x_aug_t),
             )
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay)
         stage.losses.append(_check_loss(loss, stage_name))

@@ -360,16 +360,16 @@ def test_gradient_attack_beats_random_on_sbm():
 
 
 def test_gradient_attack_plan_is_pinned():
-    """A literal plan recorded with the earlier scatter-add propagation and the
-    attack's own surrogate forward; the shared gcn_forward path must keep
-    choosing the same flips in the same order."""
+    """A literal plan, recorded since the surrogate's dropout is drawn for its
+    layer-1 rows only; the attack must keep choosing the same flips in the
+    same order."""
     g = sbm_graph([25, 25], p_in=0.2, p_out=0.02, seed=7, feature_dim=8,
                   separation=1.0, train_ratio=0.3, val_ratio=0.2)
     plan = sgc_gradient_attack(g, 0.1, TrainConfig(pretrain_epochs=60), RngState(11))
     assert plan.budget == 14
     assert plan.flips == [
-        ("add", 7, 33), ("add", 0, 33), ("remove", 33, 49), ("remove", 33, 44),
-        ("remove", 33, 39), ("add", 2, 33), ("add", 5, 33), ("add", 18, 33),
+        ("add", 7, 33), ("add", 0, 33), ("add", 5, 33), ("remove", 33, 49),
+        ("remove", 33, 44), ("remove", 33, 39), ("add", 2, 33), ("add", 18, 33),
         ("add", 11, 33), ("add", 2, 7), ("add", 20, 46), ("remove", 15, 20),
         ("remove", 19, 20), ("remove", 20, 21),
     ]
@@ -763,3 +763,14 @@ def test_ranking_memory_is_not_quadratic():
         tracemalloc.stop()
     assert keys.shape[0] == 34
     assert peak < 64 * 2**20, peak / 2**20
+
+
+def test_chunked_edge_terms_equal_the_whole_gather():
+    # enough entries for several gather chunks, and a last chunk cut short
+    gen = np.random.default_rng(51)
+    n, width, nnz = 400, 46, 3 * (attacks_mod.SCORE_PASS_ELEMENTS // 46) + 17
+    left, right = gen.standard_normal((n, width)), gen.standard_normal((n, width))
+    rows = np.sort(gen.integers(0, n, size=nnz))
+    cols = gen.integers(0, n, size=nnz)
+    got = attacks_mod._pair_dots(left, right, rows, cols)
+    assert np.array_equal(got, np.einsum("ij,ij->i", left[rows], right[cols]))

@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from sfrgnn import nn
+from sfrgnn.cli import main
 from sfrgnn.errors import ValidationError
 from sfrgnn.graph import csr_from_keys, normalize_adjacency
 from sfrgnn.nn import (
     FEATURE_CSR_MAX_DENSITY,
     AdamState,
     ModelParams,
+    RowPlan,
     adam_step,
     check_gradients,
     dropout_mask,
     feature_operand,
+    feature_transpose,
     finite_difference_grad,
     gcn_backward,
     gcn_forward,
@@ -50,7 +54,7 @@ def test_no_prop_equals_identity_prop():
     g = build_graph(6, [], [0, 1, 0, 1, 0, 1], features=np.random.default_rng(1).standard_normal((6, 4)))
     identity = normalize_adjacency(g.adjacency)
     params = init_params(4, 3, 2, RngState(5), dtype=np.float64)
-    keep = dropout_mask(RngState(9), (6, 3), 0.5)
+    keep = dropout_mask(RngState(9).generator(), (6, 3), 0.5)
     lp_none, _ = gcn_forward(params, g.features, None, 0.5, keep)
     lp_ident, _ = gcn_forward(params, g.features, identity, 0.5, keep)
     np.testing.assert_array_equal(lp_none, lp_ident)
@@ -322,7 +326,7 @@ def test_backward_is_the_adjoint_for_a_non_symmetric_propagation():
     labels = gen.integers(0, 3, size=6)
     mask = np.array([True, False, True, True, False, True])
     params = init_params(4, 3, 3, RngState(13), dtype=np.float64)
-    keep = dropout_mask(RngState(14), (6, 3), 0.5)
+    keep = dropout_mask(RngState(14).generator(), (6, 3), 0.5)
     for p_drop, mask_keep in ((0.0, None), (0.5, keep)):
         lp, cache = gcn_forward(params, x, prop, p_drop, mask_keep)
         grads = gcn_backward(cache, nll_loss(lp, labels, mask)[1])
@@ -333,6 +337,41 @@ def test_backward_is_the_adjoint_for_a_non_symmetric_propagation():
 
         numeric = finite_difference_grad(loss_of, params_to_vector(params))
         assert relative_gradient_error(params_to_vector(grads), numeric) < 1e-5, p_drop
+
+
+def test_check_grad_flags_a_backward_through_p_instead_of_its_transpose(monkeypatch, capsys):
+    real = nn.spmm
+
+    def untransposed(adj, h, transpose=False):
+        # the mutation: a square P's backward products use P where P^T belongs
+        square = adj.shape[0] == adj.shape[1]
+        return real(adj, h, transpose=transpose and not square)
+
+    assert main(["check-grad", "--seed", "4"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(nn, "spmm", untransposed)
+    assert main(["check-grad", "--seed", "4"]) == 2
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["gcn_backward/non_symmetric"].endswith("FAIL")
+    assert lines["gcn_backward/propagated"].endswith("ok")  # P symmetric: blind to it
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_with_the_loop_transpose_is_bytewise_x_t(dtype):
+    g = sbm_graph([40, 40, 40], p_in=0.05, p_out=0.005, seed=15, feature_dim=4)
+    t = np.flatnonzero(g.splits.train)
+    plan = RowPlan.closure(normalize_adjacency(g.adjacency), t)
+    x_full = sparse_binary_features(g.num_nodes, 300, seed=7).astype(dtype)
+    params = init_params(300, 16, 3, RngState(8), dtype=dtype)
+    keep = dropout_mask(RngState(9).generator(), (plan.hidden_rows.shape[0], 16), 0.5)
+    for x in (feature_operand(x_full, dtype)[plan.input_rows], x_full[plan.input_rows]):
+        x_t = feature_transpose(x)
+        lp, cache = gcn_forward(params, x, plan, 0.5, keep)
+        grad_lp = nll_loss(lp, g.labels[t], np.ones(t.shape[0], dtype=bool))[1]
+        want = gcn_backward(cache, grad_lp)
+        got = gcn_backward(cache, grad_lp, x_t=x_t)
+        assert type(x_t) is np.ndarray or x_t.format == "csr"
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.arrays(), want.arrays()))
 
 
 def test_spmm_reuses_one_scipy_matrix_per_dtype():
@@ -362,7 +401,7 @@ def test_sparse_feature_products_match_dense(dtype, tol):
     params = init_params(60, 8, 3, RngState(4), dtype=dtype)
     mask = np.zeros(40, dtype=bool)
     mask[::3] = True
-    keep = dropout_mask(RngState(6), (40, 8), 0.5)
+    keep = dropout_mask(RngState(6).generator(), (40, 8), 0.5)
     for prop in (normalize_adjacency(g.adjacency), None):
         lp, cache = gcn_forward(params, x, prop, 0.5, keep)
         lp_csr, cache_csr = gcn_forward(params, x_csr, prop, 0.5, keep)

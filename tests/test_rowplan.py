@@ -36,9 +36,20 @@ from conftest import sparse_binary_features
 TOL = {"f64": 1e-12, "f32": 1e-5}
 
 
+def layer1_rows(prop, train_ids):
+    """R1 read off P's entries: the training rows and every column stored in
+    their rows; the training rows alone without propagation."""
+    if prop is None:
+        return train_ids
+    return np.union1d(train_ids, prop.col_indices[np.isin(prop.entry_rows(), train_ids)])
+
+
 def reference_train(g, cfg, variant, rng):
     """`train` as a full-graph loop: every epoch runs gcn_forward, nll_loss,
-    gcn_backward and adam_step on all rows. Returns (params, losses)."""
+    gcn_backward and adam_step on all rows. Its dropout mask is the sliced
+    loop's draw, from one generator per loop over the R1 rows of both views,
+    scattered into N rows (the other rows dropped; no loss reads them).
+    Returns (params, losses)."""
     dtype = cfg.dtype
     losses = []
 
@@ -47,9 +58,14 @@ def reference_train(g, cfg, variant, rng):
         if params is None:
             params = init_params(x.shape[1], cfg.hidden, target.num_classes, rng, dtype)
         state = AdamState.zeros_like(params)
-        for epoch in range(epochs):
-            drop_rng = rng.substream(f"{stage_name}-dropout-{epoch}")
-            keep = nn.dropout_mask(drop_rng, (target.num_nodes, cfg.hidden), cfg.dropout)
+        train_ids = np.flatnonzero(target.splits.train)
+        rows = layer1_rows(prop, train_ids)
+        if view is not None:
+            rows = np.union1d(rows, layer1_rows(view[1], train_ids))
+        gen = rng.substream(f"{stage_name}-dropout").generator()
+        for _ in range(epochs):
+            keep = np.zeros((target.num_nodes, cfg.hidden), dtype=bool)
+            keep[rows] = nn.dropout_mask(gen, (rows.shape[0], cfg.hidden), cfg.dropout)
             lp, cache = gcn_forward(params, x, prop, cfg.dropout, keep)
             loss, grad_lp = nll_loss(lp, target.labels, target.splits.train)
             if view is None:
@@ -257,19 +273,96 @@ def test_operand_kind_follows_the_whole_feature_array(monkeypatch, inside, extra
     assert (kinds[0] is np.ndarray) == bool(extra)
 
 
-def test_contrastive_epoch_draws_one_dropout_mask(monkeypatch):
-    g = sparse_sbm(seed=42)
+def spy_dropout(monkeypatch):
+    """Record every `dropout_mask` call of the trainer as (generator, shape,
+    mask)."""
     draws = []
     real = trainer.dropout_mask
 
-    def counted(*args):
-        draws.append(args)
-        return real(*args)
+    def spy(gen, shape, dropout_p):
+        keep = real(gen, shape, dropout_p)
+        draws.append((gen, shape, keep))
+        return keep
 
-    monkeypatch.setattr(trainer, "dropout_mask", counted)
+    monkeypatch.setattr(trainer, "dropout_mask", spy)
+    return draws
+
+
+def test_contrastive_epoch_draws_one_dropout_mask(monkeypatch):
+    g = sparse_sbm(seed=42)
+    draws = spy_dropout(monkeypatch)
     cfg = TrainConfig(pretrain_epochs=3, finetune_epochs=4)
     train(g, cfg, "sfr", RngState(1))
     assert len(draws) == 3 + 4  # one per epoch, shared by both views
+
+
+@pytest.mark.parametrize("variant", ["mlp", "gcn", "sfr"])
+def test_each_epoch_draws_only_its_layer1_rows(monkeypatch, variant):
+    g = sparse_sbm(seed=45)
+    t = np.flatnonzero(g.splits.train)
+    r1 = RowPlan.closure(normalize_adjacency(g.adjacency), t).hidden_rows
+    assert t.shape[0] < r1.shape[0] < g.num_nodes
+    draws = spy_dropout(monkeypatch)
+    cfg = TrainConfig(pretrain_epochs=3, finetune_epochs=2)
+    train(g, cfg, variant, RngState(1))
+    rows = {"mlp": [t] * 3, "gcn": [r1] * 3, "sfr": [t] * 3 + [r1] * 2}[variant]
+    assert [shape for _, shape, _ in draws] == [(r.shape[0], cfg.hidden) for r in rows]
+    # one generator per loop call, from the stage's "-dropout" substream;
+    # each epoch's mask is its next |R1| x H uniforms, so nothing else is drawn
+    stages = [("pretrain", draws[:3]), ("finetune", draws[3:])]
+    for stage, calls in stages:
+        if not calls:
+            continue
+        assert all(gen is calls[0][0] for gen, _, _ in calls)
+        fresh = RngState(1).substream(f"{stage}-dropout").generator()
+        for _, shape, keep in calls:
+            np.testing.assert_array_equal(keep, fresh.random(shape) < 1.0 - cfg.dropout)
+
+
+@pytest.mark.parametrize("variant", ["sfr_nd", "sfr_er"])
+def test_override_view_shares_the_draw_on_common_rows(monkeypatch, variant):
+    g = sparse_sbm(seed=46)
+    draws = spy_dropout(monkeypatch)
+    passes = []
+    real = trainer.gcn_forward
+
+    def spy(params, x, plan, dropout_p, keep):
+        passes.append((plan.hidden_rows, keep))
+        return real(params, x, plan, dropout_p, keep)
+
+    monkeypatch.setattr(trainer, "gcn_forward", spy)
+    cfg = TrainConfig(pretrain_epochs=2, finetune_epochs=3)
+    train(g, cfg, variant, RngState(5))
+    finetune_draws, finetune_passes = draws[2:], passes[2:]
+    assert len(finetune_draws) == 3 and len(finetune_passes) == 6
+    for (_, shape, keep), (rows, k), (rows_aug, k_aug) in zip(
+        finetune_draws, finetune_passes[::2], finetune_passes[1::2]
+    ):
+        assert not np.array_equal(rows, rows_aug)
+        union = np.union1d(rows, rows_aug)
+        assert shape == (union.shape[0], cfg.hidden)  # one draw for both views
+        np.testing.assert_array_equal(k, keep[np.searchsorted(union, rows)])
+        np.testing.assert_array_equal(k_aug, keep[np.searchsorted(union, rows_aug)])
+        common = np.intersect1d(rows, rows_aug)
+        np.testing.assert_array_equal(
+            k[np.searchsorted(rows, common)], k_aug[np.searchsorted(rows_aug, common)]
+        )
+
+
+def test_pretraining_is_bitwise_the_same_across_edge_sets(monkeypatch):
+    # criterion A2 under the row-sized dropout stream: the rows drawn are T
+    # whatever the edges, so the draws, losses and weights agree bit for bit
+    g = sparse_sbm(seed=47)
+    other = g.with_adjacency(sbm_graph([16, 16, 16], p_in=0.4, p_out=0.2, seed=48).adjacency)
+    assert other.adjacency.edge_pairs().shape != g.adjacency.edge_pairs().shape
+    draws = spy_dropout(monkeypatch)
+    cfg = TrainConfig(pretrain_epochs=30)
+    p1, h1 = trainer.pretrain(g, cfg, RngState(3))
+    p2, h2 = trainer.pretrain(other, cfg, RngState(3))
+    assert h1.pretrain.losses == h2.pretrain.losses
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(p1.arrays(), p2.arrays()))
+    first, second = draws[:30], draws[30:]
+    assert all(a[2].tobytes() == b[2].tobytes() for a, b in zip(first, second))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])

@@ -19,7 +19,7 @@ A pass computes every row, or only the rows of a `RowPlan`: layer 2 on the
 rows a loss reads, layer 1 on the rows those read, x on the rows layer 1
 reads, with P sliced to match. Each row is the same computation either way:
 a row of a sliced P holds the row's entries of P in stored order, and a
-column its column's entries in ascending row. The dropout mask covers the
+column its column's entries in ascending row. The dropout scale covers the
 rows layer 1 computes: R1 for a plan, every row for a full pass.
 
 The feature matrix enters the products x @ w1 and x.T @ da1 as the operand
@@ -143,6 +143,9 @@ class ModelParams:
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2)
 
+    def __add__(self, other: "ModelParams") -> "ModelParams":
+        return ModelParams(*(a + b for a, b in zip(self.arrays(), other.arrays())))
+
 
 ParamGrads = ModelParams
 
@@ -185,7 +188,7 @@ class RowPlan:
     P[R1, R2] and P[T, R1], the backward ones their transposes (`spmm`'s
     `transpose`); for the whole graph both are P. Without propagation
     R1 = R2 = T. `None` rows mean every row. A train-mode pass on a plan takes
-    a dropout mask of |R1| rows, one per row of `hidden_rows`.
+    a dropout scale of |R1| rows, one per row of `hidden_rows`.
     """
 
     hidden_rows: np.ndarray | None = None  # R1
@@ -213,7 +216,7 @@ class ForwardCache:
     a1: np.ndarray  # x @ w1
     h: np.ndarray  # post-ReLU, pre-dropout hidden
     hd: np.ndarray  # hidden after dropout (== h in eval mode)
-    drop_scale: np.ndarray | None  # inverted-dropout mask / keep_prob
+    drop_scale: np.ndarray | None  # inverted-dropout scale, None in eval mode
     log_probs: np.ndarray
     params: ModelParams
 
@@ -247,30 +250,29 @@ def gcn_log_probs(s2: np.ndarray, b2: np.ndarray) -> np.ndarray:
 def dropout_mask(
     gen: np.random.Generator, shape: tuple[int, int], dropout_p: float
 ) -> np.ndarray | None:
-    """Keep mask of inverted dropout at rate `dropout_p`: the next `shape`
-    uniforms of `gen`, so successive calls draw successive masks; None, and
-    no draw, when dropout_p is 0."""
+    """Inverted-dropout scale at rate p = `dropout_p`, in float64: 1 / (1 - p)
+    where the next `shape` uniforms of `gen` fall below 1 - p, else 0, so
+    successive calls draw successive scales; None, and no draw, at p = 0."""
+    if not (0.0 <= dropout_p < 1.0):
+        raise ValidationError("dropout_p must lie in [0, 1)")
     if dropout_p == 0.0:
         return None
-    return gen.random(shape) < 1.0 - dropout_p
+    return (gen.random(shape) < 1.0 - dropout_p) / (1.0 - dropout_p)
 
 
 def gcn_forward(
     params: ModelParams,
     x: np.ndarray,
     prop: CsrAdjacency | RowPlan | None,
-    dropout_p: float = 0.0,
-    keep_mask: np.ndarray | None = None,
+    drop_scale: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Two-layer forward pass. With prop=None the propagation step is skipped
     (pure MLP over attributes); a CsrAdjacency P computes every row; a
-    RowPlan computes its rows, with x given on its input rows. Dropout at
-    rate `dropout_p` hits the hidden layer when a `keep_mask` is given (train
-    mode), one row per row layer 1 computes: the plan's `hidden_rows`, or
-    every row; without one the pass is in eval mode. Returns row-wise
-    log-softmax of the output rows and the cache backward needs."""
-    if not (0.0 <= dropout_p < 1.0):
-        raise ValidationError("dropout_p must lie in [0, 1)")
+    RowPlan computes its rows, with x given on its input rows. A `drop_scale`
+    from `dropout_mask`, cast to the weights' dtype, multiplies the hidden
+    layer (train mode), one row per row layer 1 computes: the plan's
+    `hidden_rows`, or every row; without one the pass is in eval mode.
+    Returns row-wise log-softmax of the output rows and the backward cache."""
     dtype = params.w1.dtype
     x = x.astype(dtype, copy=False)
     plan = prop if isinstance(prop, RowPlan) else RowPlan(layer1=prop, layer2=prop)
@@ -279,11 +281,8 @@ def gcn_forward(
     s1 = spmm(plan.layer1, a1) if plan.layer1 is not None else a1
     h = gcn_hidden(s1, params.b1)
 
-    drop_scale = None
-    hd = h
-    if keep_mask is not None:
-        drop_scale = (keep_mask / (1.0 - dropout_p)).astype(dtype)
-        hd = h * drop_scale
+    drop_scale = None if drop_scale is None else drop_scale.astype(dtype, copy=False)
+    hd = h if drop_scale is None else h * drop_scale
 
     a2 = hd @ params.w2
     s2 = spmm(plan.layer2, a2) if plan.layer2 is not None else a2
@@ -392,8 +391,8 @@ def infonce_loss(
     outside the mask get zero gradient. Zero-norm rows are clamped at
     NORM_EPS before division.
     """
-    if temperature <= 0.0:
-        raise ValidationError("temperature must be > 0")
+    if not (np.isfinite(temperature) and temperature > 0.0):
+        raise ValidationError("temperature must be finite and > 0")
     mask_aug = mask if mask_aug is None else mask_aug
     idx, idx_aug = np.flatnonzero(mask), np.flatnonzero(mask_aug)
     if (z.shape[1:] != z_aug.shape[1:] or idx.shape != idx_aug.shape
@@ -550,28 +549,38 @@ def _non_symmetric_prop(gen: np.random.Generator, n: int, density: float) -> Csr
 
 def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     """Finite-difference suites for the GCN backward (parameters and
-    propagation matrix, symmetric or not, full-graph or on a RowPlan), NLL,
-    and InfoNCE."""
+    propagation matrix, symmetric or not, full-graph or on a RowPlan),
+    fine-tuning's contrastive objective, NLL, and InfoNCE."""
     report = GradCheckReport()
     x, labels, mask, prop, params = _random_instance(rng)
 
-    def param_grad_error(c_x, c_labels, c_mask, c_prop, c_params, p_drop=0.0, keep=None):
-        def loss_of(theta_vec):
-            theta = vector_to_params(theta_vec, c_params)
-            lp, _ = gcn_forward(theta, c_x, c_prop, p_drop, keep)
-            return nll_loss(lp, c_labels, c_mask)[0]
+    def param_grad_error(c_x, c_labels, c_mask, c_prop, c_params, scale=None, view=None):
+        """The NLL of a pass; with `view` = (x', P', anchors, anchors') plus
+        InfoNCE against an eval-mode pass on x' and P', as in fine-tuning."""
 
-        lp, cache = gcn_forward(c_params, c_x, c_prop, p_drop, keep)
-        grads = gcn_backward(cache, nll_loss(lp, c_labels, c_mask)[1])
-        numeric = finite_difference_grad(loss_of, params_to_vector(c_params), eps)
-        return relative_gradient_error(params_to_vector(grads), numeric)
+        def objective(theta_vec):
+            theta = vector_to_params(theta_vec, c_params)
+            lp, cache = gcn_forward(theta, c_x, c_prop, scale)
+            loss, grad_lp = nll_loss(lp, c_labels, c_mask)
+            if view is None:
+                return loss, gcn_backward(cache, grad_lp)
+            x_v, prop_v, anchors, anchors_v = view
+            _, cache_v = gcn_forward(theta, x_v, prop_v)
+            nce, grad_h, grad_h_v = infonce_loss(cache.h, cache_v.h, anchors, 0.5, anchors_v)
+            return loss + nce, gcn_backward(cache, grad_lp, grad_hidden=grad_h) + gcn_backward(
+                cache_v, np.zeros_like(lp), grad_hidden=grad_h_v
+            )
+
+        theta0 = params_to_vector(c_params)
+        numeric = finite_difference_grad(lambda v: objective(v)[0], theta0, eps)
+        return relative_gradient_error(params_to_vector(objective(theta0)[1]), numeric)
 
     report.errors["gcn_backward/propagated"] = param_grad_error(x, labels, mask, prop, params)
     report.errors["gcn_backward/no_prop"] = param_grad_error(x, labels, mask, None, params)
     hidden = params.w1.shape[1]
-    keep = dropout_mask(rng.substream("gradcheck-dropout").generator(), (x.shape[0], hidden), 0.5)
+    scale = dropout_mask(rng.substream("gradcheck-dropout").generator(), (x.shape[0], hidden), 0.5)
     report.errors["gcn_backward/train_dropout"] = param_grad_error(
-        x, labels, mask, prop, params, 0.5, keep
+        x, labels, mask, prop, params, scale
     )
     # a backward pass that multiplied by P where the chain rule needs P^T
     # passes every symmetric case above and fails this one
@@ -580,15 +589,25 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
         x, labels, mask, _non_symmetric_prop(gen, x.shape[0], 0.5), params
     )
     # train mode on the RowPlan of a sparser non-symmetric P: x on R2, the
-    # loss on the output rows T, the dropout mask on R1 only
+    # loss on the output rows T, the dropout scale on R1 only
     n_plan = 24
     out_rows = np.sort(gen.permutation(n_plan)[:5])
     plan = RowPlan.closure(_non_symmetric_prop(gen, n_plan, 0.08), out_rows)
     x_plan = gen.standard_normal((n_plan, x.shape[1]))[plan.input_rows]
     labels_plan = gen.integers(0, params.w2.shape[1], size=out_rows.shape[0])
-    keep_r1 = dropout_mask(gen, (plan.hidden_rows.shape[0], hidden), 0.5)
+    every = np.ones(out_rows.shape[0], dtype=bool)
+    scale_r1 = dropout_mask(gen, (plan.hidden_rows.shape[0], hidden), 0.5)
     report.errors["gcn_backward/row_plan_dropout"] = param_grad_error(
-        x_plan, labels_plan, np.ones(out_rows.shape[0], dtype=bool), plan, params, 0.5, keep_r1
+        x_plan, labels_plan, every, plan, params, scale_r1
+    )
+    # that pass plus InfoNCE on three output rows against a view on a second
+    # P, whose gradient reaches the train-mode pass before its dropout scale
+    plan_aug = RowPlan.closure(_non_symmetric_prop(gen, n_plan, 0.08), out_rows)
+    x_aug = gen.standard_normal((n_plan, x.shape[1]))[plan_aug.input_rows]
+    anchored = np.isin(np.arange(n_plan), out_rows[:3])
+    view = (x_aug, plan_aug, anchored[plan.hidden_rows], anchored[plan_aug.hidden_rows])
+    report.errors["finetune/contrastive"] = param_grad_error(
+        x_plan, labels_plan, every, plan, params, scale_r1, view
     )
     # square (N = d), so that a transposed feature operand keeps its shape and
     # shows as a wrong gradient; row 0 and column 1 of the CSR x are all zero

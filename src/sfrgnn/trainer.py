@@ -43,7 +43,6 @@ from .graph import CsrAdjacency, Graph, csr_from_edge_pairs, normalize_adjacency
 from .nn import (
     AdamState,
     ModelParams,
-    ParamGrads,
     RowPlan,
     adam_step,
     dropout_mask,
@@ -91,10 +90,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.hidden < 1:
             raise ValidationError("hidden must be >= 1")
-        if not self.lr > 0.0:
-            raise ValidationError("lr must be > 0")
-        if not self.weight_decay >= 0.0:
-            raise ValidationError("weight_decay must be >= 0")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValidationError("lr must be finite and > 0")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise ValidationError("weight_decay must be finite and >= 0")
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
             raise ValidationError("epoch counts must be >= 0")
         if self.pretrain_epochs == 0 and self.finetune_epochs == 0:
@@ -103,8 +102,8 @@ class TrainConfig:
             raise ValidationError("internaa_ratio must lie in (0, 1]")
         if not (0.0 <= self.dropout < 1.0):
             raise ValidationError("dropout must lie in [0, 1)")
-        if self.temperature <= 0.0:
-            raise ValidationError("temperature must be > 0")
+        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ValidationError("temperature must be finite and > 0")
         if self.resolved_precision() not in ("f32", "f64"):
             raise ValidationError("precision must be 'f32' or 'f64'")
 
@@ -156,10 +155,6 @@ def _check_loss(loss: float, context: str) -> float:
     return float(loss)
 
 
-def _add_grads(a: ParamGrads, b: ParamGrads) -> ParamGrads:
-    return ParamGrads(a.w1 + b.w1, a.b1 + b.b1, a.w2 + b.w2, a.b2 + b.b2)
-
-
 def _supervised_loop(
     g: Graph,
     cfg: TrainConfig,
@@ -176,17 +171,16 @@ def _supervised_loop(
     the graph structure.
 
     `view` = (aug, prop_aug, mask) adds the contrastive term: a second
-    forward on the augmented attributes, with the epoch's dropout mask, and
-    an InfoNCE loss between the two hidden representations on `mask`, whose
+    forward on the augmented attributes, in eval mode, and an InfoNCE loss
+    between the two pre-dropout hidden representations on `mask`, whose
     gradient flows through both views. The two losses are summed unweighted.
+    No loss reads the view past its hidden layer, so dropout there would
+    change no result.
 
     Every epoch computes only the rows the losses read: the plan
     `RowPlan.closure` of the training rows, sliced once per call (the view
-    gets its own when prop_aug is not prop). Each epoch's dropout mask is the
-    next draw of one generator per call, for the plan's R1 rows only; when
-    the view has its own plan, one draw covers the sorted union of both R1
-    sets and each view takes its rows of it, so a node in both keeps one
-    mask row.
+    gets its own when prop_aug is not prop). Each epoch's dropout scale is
+    the next draw of one generator per call, for the plan's R1 rows only.
     """
     dtype = cfg.dtype
     train_ids = np.flatnonzero(g.splits.train)
@@ -198,42 +192,31 @@ def _supervised_loop(
     if params is None:
         params = init_params(x.shape[1], cfg.hidden, g.num_classes, rng, dtype)
     state = AdamState.zeros_like(params)
-    drop_rows = plan.hidden_rows
     if view is not None:
         aug, prop_aug, mask = view
         plan_aug = plan if prop_aug is prop else RowPlan.closure(prop_aug, train_ids)
         x_aug = feature_operand(aug.x_inter, dtype)[plan_aug.input_rows]
         x_aug_t = feature_transpose(x_aug)
         anchors, anchors_aug = mask[plan.hidden_rows], mask[plan_aug.hidden_rows]
-        if plan_aug is not plan:
-            drop_rows = np.union1d(plan.hidden_rows, plan_aug.hidden_rows)
-            own = np.searchsorted(drop_rows, plan.hidden_rows)
-            own_aug = np.searchsorted(drop_rows, plan_aug.hidden_rows)
+        zero_lp = np.zeros((train_ids.shape[0], g.num_classes), params.w1.dtype)
     drop_gen = rng.substream(f"{stage_name}-dropout").generator()
-    zero_lp = None
+    drop_shape = (plan.hidden_rows.shape[0], params.w1.shape[1])
     for _ in range(epochs):
         calls0 = spmm_calls()
         t0 = time.perf_counter()
-        keep = keep_aug = dropout_mask(
-            drop_gen, (drop_rows.shape[0], params.w1.shape[1]), cfg.dropout
-        )
-        if keep is not None and drop_rows is not plan.hidden_rows:
-            keep, keep_aug = keep[own], keep[own_aug]
-        log_probs, cache = gcn_forward(params, x, plan, cfg.dropout, keep)
+        scale = dropout_mask(drop_gen, drop_shape, cfg.dropout)
+        log_probs, cache = gcn_forward(params, x, plan, scale)
         loss, grad_lp = nll_loss(log_probs, labels, every)
         if view is None:
             grads = gcn_backward(cache, grad_lp, x_t=x_t)
         else:
-            _, cache_aug = gcn_forward(params, x_aug, plan_aug, cfg.dropout, keep_aug)
+            _, cache_aug = gcn_forward(params, x_aug, plan_aug)
             loss_c, grad_h, grad_h_aug = infonce_loss(
                 cache.h, cache_aug.h, anchors, cfg.temperature, anchors_aug
             )
             loss = loss + loss_c
-            if zero_lp is None:
-                zero_lp = np.zeros_like(log_probs)
-            grads = _add_grads(
-                gcn_backward(cache, grad_lp, grad_hidden=grad_h, x_t=x_t),
-                gcn_backward(cache_aug, zero_lp, grad_hidden=grad_h_aug, x_t=x_aug_t),
+            grads = gcn_backward(cache, grad_lp, grad_hidden=grad_h, x_t=x_t) + gcn_backward(
+                cache_aug, zero_lp, grad_hidden=grad_h_aug, x_t=x_aug_t
             )
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay)
         stage.losses.append(_check_loss(loss, stage_name))
@@ -347,11 +330,8 @@ def finetune(
     prop = normalize_adjacency(g.adjacency)
     view = None
     if aug is not None:
-        prop_aug = (
-            normalize_adjacency(aug.adjacency_override)
-            if aug.adjacency_override is not None
-            else prop
-        )
+        override = aug.adjacency_override
+        prop_aug = prop if override is None else normalize_adjacency(override)
         contrast_mask = g.splits.train & aug.replaced_mask
         if not contrast_mask.any():
             raise ValidationError("contrastive mask selects no training nodes")

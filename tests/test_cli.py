@@ -219,6 +219,13 @@ def test_zero_hidden_units_exits_one(dataset, tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_non_finite_learning_rate_exits_one(dataset, tmp_path, capsys):
+    rc = main(_train_args(dataset, tmp_path, "--lr", "inf"))
+    assert rc == 1
+    assert "lr must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["--no-such-flag"],
     ["--hidden", "abc"],

@@ -54,9 +54,9 @@ def test_no_prop_equals_identity_prop():
     g = build_graph(6, [], [0, 1, 0, 1, 0, 1], features=np.random.default_rng(1).standard_normal((6, 4)))
     identity = normalize_adjacency(g.adjacency)
     params = init_params(4, 3, 2, RngState(5), dtype=np.float64)
-    keep = dropout_mask(RngState(9).generator(), (6, 3), 0.5)
-    lp_none, _ = gcn_forward(params, g.features, None, 0.5, keep)
-    lp_ident, _ = gcn_forward(params, g.features, identity, 0.5, keep)
+    scale = dropout_mask(RngState(9).generator(), (6, 3), 0.5)
+    lp_none, _ = gcn_forward(params, g.features, None, scale)
+    lp_ident, _ = gcn_forward(params, g.features, identity, scale)
     np.testing.assert_array_equal(lp_none, lp_ident)
 
 
@@ -222,8 +222,22 @@ def test_infonce_nonnegative_on_random_inputs():
 
 def test_infonce_rejects_bad_temperature():
     z = np.ones((2, 2))
-    with pytest.raises(ValidationError):
-        infonce_loss(z, z, np.ones(2, dtype=bool), temperature=0.0)
+    for temperature in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            infonce_loss(z, z, np.ones(2, dtype=bool), temperature=temperature)
+
+
+def test_dropout_mask_is_the_inverted_dropout_scale():
+    gen, fresh = RngState(3).generator(), RngState(3).generator()
+    scale = dropout_mask(gen, (50, 4), 0.3)
+    assert scale.dtype == np.float64
+    np.testing.assert_array_equal(scale, (fresh.random((50, 4)) < 0.7) / 0.7)
+    assert set(np.unique(scale)) == {0.0, 1.0 / 0.7}
+    assert dropout_mask(gen, (50, 4), 0.0) is None
+    assert gen.random() == fresh.random()  # p = 0 draws nothing
+    for bad in (1.0, -0.1, np.nan):
+        with pytest.raises(ValidationError):
+            dropout_mask(gen, (50, 4), bad)
 
 
 def test_infonce_grads_zero_outside_mask():
@@ -326,17 +340,16 @@ def test_backward_is_the_adjoint_for_a_non_symmetric_propagation():
     labels = gen.integers(0, 3, size=6)
     mask = np.array([True, False, True, True, False, True])
     params = init_params(4, 3, 3, RngState(13), dtype=np.float64)
-    keep = dropout_mask(RngState(14).generator(), (6, 3), 0.5)
-    for p_drop, mask_keep in ((0.0, None), (0.5, keep)):
-        lp, cache = gcn_forward(params, x, prop, p_drop, mask_keep)
+    for scale in (None, dropout_mask(RngState(14).generator(), (6, 3), 0.5)):
+        lp, cache = gcn_forward(params, x, prop, scale)
         grads = gcn_backward(cache, nll_loss(lp, labels, mask)[1])
 
         def loss_of(vec):
-            lp2, _ = gcn_forward(vector_to_params(vec, params), x, prop, p_drop, mask_keep)
+            lp2, _ = gcn_forward(vector_to_params(vec, params), x, prop, scale)
             return nll_loss(lp2, labels, mask)[0]
 
         numeric = finite_difference_grad(loss_of, params_to_vector(params))
-        assert relative_gradient_error(params_to_vector(grads), numeric) < 1e-5, p_drop
+        assert relative_gradient_error(params_to_vector(grads), numeric) < 1e-5, scale
 
 
 def test_check_grad_flags_a_backward_through_p_instead_of_its_transpose(monkeypatch, capsys):
@@ -363,10 +376,10 @@ def test_backward_with_the_loop_transpose_is_bytewise_x_t(dtype):
     plan = RowPlan.closure(normalize_adjacency(g.adjacency), t)
     x_full = sparse_binary_features(g.num_nodes, 300, seed=7).astype(dtype)
     params = init_params(300, 16, 3, RngState(8), dtype=dtype)
-    keep = dropout_mask(RngState(9).generator(), (plan.hidden_rows.shape[0], 16), 0.5)
+    scale = dropout_mask(RngState(9).generator(), (plan.hidden_rows.shape[0], 16), 0.5)
     for x in (feature_operand(x_full, dtype)[plan.input_rows], x_full[plan.input_rows]):
         x_t = feature_transpose(x)
-        lp, cache = gcn_forward(params, x, plan, 0.5, keep)
+        lp, cache = gcn_forward(params, x, plan, scale)
         grad_lp = nll_loss(lp, g.labels[t], np.ones(t.shape[0], dtype=bool))[1]
         want = gcn_backward(cache, grad_lp)
         got = gcn_backward(cache, grad_lp, x_t=x_t)
@@ -401,10 +414,10 @@ def test_sparse_feature_products_match_dense(dtype, tol):
     params = init_params(60, 8, 3, RngState(4), dtype=dtype)
     mask = np.zeros(40, dtype=bool)
     mask[::3] = True
-    keep = dropout_mask(RngState(6).generator(), (40, 8), 0.5)
+    scale = dropout_mask(RngState(6).generator(), (40, 8), 0.5)
     for prop in (normalize_adjacency(g.adjacency), None):
-        lp, cache = gcn_forward(params, x, prop, 0.5, keep)
-        lp_csr, cache_csr = gcn_forward(params, x_csr, prop, 0.5, keep)
+        lp, cache = gcn_forward(params, x, prop, scale)
+        lp_csr, cache_csr = gcn_forward(params, x_csr, prop, scale)
         assert lp_csr.dtype == dtype
         assert relative_gradient_error(lp_csr, lp) < tol
         _, grad_lp = nll_loss(lp, g.labels, mask)

@@ -46,10 +46,12 @@ def layer1_rows(prop, train_ids):
 
 def reference_train(g, cfg, variant, rng):
     """`train` as a full-graph loop: every epoch runs gcn_forward, nll_loss,
-    gcn_backward and adam_step on all rows. Its dropout mask is the sliced
-    loop's draw, from one generator per loop over the R1 rows of both views,
-    scattered into N rows (the other rows dropped; no loss reads them).
-    Returns (params, losses)."""
+    gcn_backward and adam_step on all rows. Its dropout scale is the sliced
+    loop's draw, from one generator per loop over the main pass's R1 rows,
+    scattered into N rows (the other rows dropped; no loss reads them). The
+    contrastive view's pass here applies that scale too, where the sliced
+    loop runs the view in eval mode: equal results show that the view's
+    dropout is dead. Returns (params, losses)."""
     dtype = cfg.dtype
     losses = []
 
@@ -60,19 +62,17 @@ def reference_train(g, cfg, variant, rng):
         state = AdamState.zeros_like(params)
         train_ids = np.flatnonzero(target.splits.train)
         rows = layer1_rows(prop, train_ids)
-        if view is not None:
-            rows = np.union1d(rows, layer1_rows(view[1], train_ids))
         gen = rng.substream(f"{stage_name}-dropout").generator()
         for _ in range(epochs):
-            keep = np.zeros((target.num_nodes, cfg.hidden), dtype=bool)
-            keep[rows] = nn.dropout_mask(gen, (rows.shape[0], cfg.hidden), cfg.dropout)
-            lp, cache = gcn_forward(params, x, prop, cfg.dropout, keep)
+            scale = np.zeros((target.num_nodes, cfg.hidden))
+            scale[rows] = nn.dropout_mask(gen, (rows.shape[0], cfg.hidden), cfg.dropout)
+            lp, cache = gcn_forward(params, x, prop, scale)
             loss, grad_lp = nll_loss(lp, target.labels, target.splits.train)
             if view is None:
                 grads = gcn_backward(cache, grad_lp)
             else:
                 x_aug, prop_aug, mask = view
-                _, cache_aug = gcn_forward(params, x_aug, prop_aug, cfg.dropout, keep)
+                _, cache_aug = gcn_forward(params, x_aug, prop_aug, scale)
                 loss_c, gh, gh_aug = infonce_loss(cache.h, cache_aug.h, mask, cfg.temperature)
                 loss += loss_c
                 g1 = gcn_backward(cache, grad_lp, grad_hidden=gh)
@@ -198,7 +198,7 @@ def test_sliced_loop_is_bitwise_the_full_graph_loop_at_cora_size(seed, precision
     g = sbm_graph([387] * 7, p_in=3.2 / 386, p_out=0.8 / 2321, seed=seed)
     g.features = sparse_binary_features(g.num_nodes, 1433, seed)
     cfg = TrainConfig(pretrain_epochs=30, finetune_epochs=5, precision=precision)
-    for variant in ("mlp", "gcn", "sfr"):
+    for variant in ("mlp", "gcn", "sfr", "sfr_er"):  # sfr_er: the view's own plan
         want, _ = reference_train(g, cfg, variant, RngState(seed))
         got = train(g, cfg, variant, RngState(seed)).params
         assert all(np.array_equal(a, b) for a, b in zip(got.arrays(), want.arrays())), (
@@ -275,14 +275,14 @@ def test_operand_kind_follows_the_whole_feature_array(monkeypatch, inside, extra
 
 def spy_dropout(monkeypatch):
     """Record every `dropout_mask` call of the trainer as (generator, shape,
-    mask)."""
+    scale)."""
     draws = []
     real = trainer.dropout_mask
 
     def spy(gen, shape, dropout_p):
-        keep = real(gen, shape, dropout_p)
-        draws.append((gen, shape, keep))
-        return keep
+        scale = real(gen, shape, dropout_p)
+        draws.append((gen, shape, scale))
+        return scale
 
     monkeypatch.setattr(trainer, "dropout_mask", spy)
     return draws
@@ -293,7 +293,7 @@ def test_contrastive_epoch_draws_one_dropout_mask(monkeypatch):
     draws = spy_dropout(monkeypatch)
     cfg = TrainConfig(pretrain_epochs=3, finetune_epochs=4)
     train(g, cfg, "sfr", RngState(1))
-    assert len(draws) == 3 + 4  # one per epoch, shared by both views
+    assert len(draws) == 3 + 4  # one per epoch, for the supervised pass alone
 
 
 @pytest.mark.parametrize("variant", ["mlp", "gcn", "sfr"])
@@ -308,45 +308,42 @@ def test_each_epoch_draws_only_its_layer1_rows(monkeypatch, variant):
     rows = {"mlp": [t] * 3, "gcn": [r1] * 3, "sfr": [t] * 3 + [r1] * 2}[variant]
     assert [shape for _, shape, _ in draws] == [(r.shape[0], cfg.hidden) for r in rows]
     # one generator per loop call, from the stage's "-dropout" substream;
-    # each epoch's mask is its next |R1| x H uniforms, so nothing else is drawn
+    # each epoch's scale is its next |R1| x H uniforms, so nothing else is drawn
     stages = [("pretrain", draws[:3]), ("finetune", draws[3:])]
+    keep_p = 1.0 - cfg.dropout
     for stage, calls in stages:
         if not calls:
             continue
         assert all(gen is calls[0][0] for gen, _, _ in calls)
         fresh = RngState(1).substream(f"{stage}-dropout").generator()
-        for _, shape, keep in calls:
-            np.testing.assert_array_equal(keep, fresh.random(shape) < 1.0 - cfg.dropout)
+        for _, shape, scale in calls:
+            np.testing.assert_array_equal(scale, (fresh.random(shape) < keep_p) / keep_p)
 
 
-@pytest.mark.parametrize("variant", ["sfr_nd", "sfr_er"])
-def test_override_view_shares_the_draw_on_common_rows(monkeypatch, variant):
+@pytest.mark.parametrize("variant", ["sfr", "sfr_nd", "sfr_er", "sfr_fm"])
+def test_contrastive_view_runs_without_dropout(monkeypatch, variant):
     g = sparse_sbm(seed=46)
     draws = spy_dropout(monkeypatch)
     passes = []
     real = trainer.gcn_forward
 
-    def spy(params, x, plan, dropout_p, keep):
-        passes.append((plan.hidden_rows, keep))
-        return real(params, x, plan, dropout_p, keep)
+    def spy(params, x, plan, drop_scale=None):
+        passes.append((plan.hidden_rows, drop_scale))
+        return real(params, x, plan, drop_scale)
 
     monkeypatch.setattr(trainer, "gcn_forward", spy)
     cfg = TrainConfig(pretrain_epochs=2, finetune_epochs=3)
     train(g, cfg, variant, RngState(5))
     finetune_draws, finetune_passes = draws[2:], passes[2:]
     assert len(finetune_draws) == 3 and len(finetune_passes) == 6
-    for (_, shape, keep), (rows, k), (rows_aug, k_aug) in zip(
+    for (_, shape, scale), (rows, s), (rows_aug, s_aug) in zip(
         finetune_draws, finetune_passes[::2], finetune_passes[1::2]
     ):
-        assert not np.array_equal(rows, rows_aug)
-        union = np.union1d(rows, rows_aug)
-        assert shape == (union.shape[0], cfg.hidden)  # one draw for both views
-        np.testing.assert_array_equal(k, keep[np.searchsorted(union, rows)])
-        np.testing.assert_array_equal(k_aug, keep[np.searchsorted(union, rows_aug)])
-        common = np.intersect1d(rows, rows_aug)
-        np.testing.assert_array_equal(
-            k[np.searchsorted(rows, common)], k_aug[np.searchsorted(rows_aug, common)]
-        )
+        assert s is scale and s_aug is None
+        assert shape == (rows.shape[0], cfg.hidden)  # the main plan's |R1| x H
+        # the nd / er views only remove edges, so their R1 lies inside the main one
+        assert np.isin(rows_aug, rows).all()
+        assert np.array_equal(rows, rows_aug) == (variant in ("sfr", "sfr_fm"))
 
 
 def test_pretraining_is_bitwise_the_same_across_edge_sets(monkeypatch):

@@ -363,8 +363,10 @@ def test_config_validation():
 
 
 def test_config_rejects_nonsense_model_settings():
-    for bad in (dict(hidden=0), dict(lr=0.0), dict(lr=-0.1), dict(lr=float("nan")),
-                dict(weight_decay=-1e-4)):
+    inf, nan = float("inf"), float("nan")
+    for bad in (dict(hidden=0), dict(lr=0.0), dict(lr=-0.1), dict(lr=nan), dict(lr=inf),
+                dict(weight_decay=-1e-4), dict(weight_decay=inf), dict(weight_decay=nan),
+                dict(temperature=inf), dict(temperature=nan), dict(temperature=-inf)):
         with pytest.raises(ValidationError):
             TrainConfig(**bad).validate()
 

@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from sfrgnn.datasets import prepare_cora
+from sfrgnn.errors import SfrError
 from sfrgnn.graph import graph_stats, load_graph
 
 
@@ -27,8 +28,12 @@ def main() -> int:
                         "(skips the download)")
     args = parser.parse_args()
 
-    dest = prepare_cora(args.dest, raw_dir=args.raw_dir)
-    g = load_graph(dest)
+    try:
+        dest = prepare_cora(args.dest, raw_dir=args.raw_dir)
+        g = load_graph(dest)
+    except SfrError as exc:  # as `sfr` reports it: a message and the error's exit code
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
     stats = graph_stats(g)
     print(f"prepared {dest}")
     print(

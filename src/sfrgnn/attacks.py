@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CapacityError, DatasetFormatError, ValidationError
+from .errors import CapacityError, ValidationError
 from .graph import (
     CsrAdjacency,
     Graph,
@@ -24,6 +24,7 @@ from .graph import (
     graph_stats,
     normalize_adjacency,
     propagation_values,
+    read_records,
 )
 from .nn import (
     ModelParams,
@@ -204,7 +205,6 @@ class _ExactFlipLoss:
         self.slot = np.cumsum(train_mask) - 1  # node -> position in `picked`
         self.deg_tilde = adj.degrees().astype(np.float64) + 1.0
         self.h = self.cache.h.copy()  # patched per candidate, then restored
-        self.a2 = self.h @ head.w2  # the layer-2 input of rows no toggle changes
 
     def _patched_entries(
         self, owner: np.ndarray, nodes: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -250,7 +250,8 @@ class _ExactFlipLoss:
         pos, cols, values = self._patched_entries(s1_cand, s1_node, u, v, add)
         layer1 = csr_from_keys(s1.shape[0], pos * n + cols, values=values, cols=n)
         hidden = gcn_hidden(spmm(layer1, self.cache.a1), self.head.b1)
-        a2_rows = np.empty((s1.shape[0], self.a2.shape[1]), dtype=self.a2.dtype)
+        a2 = self.cache.a2  # the layer-2 input of rows no toggle changes
+        a2_rows = np.empty((s1.shape[0], a2.shape[1]), dtype=a2.dtype)
         for c in range(k):
             block = slice(s1_bounds[c], s1_bounds[c + 1])
             rows = s1_node[block]
@@ -271,7 +272,7 @@ class _ExactFlipLoss:
             cols = np.where(s1[at] == wanted, n + at, cols)
             width = n + s1.shape[0]
             layer2 = csr_from_keys(out.shape[0], pos * width + cols, values=values, cols=width)
-            log_probs = gcn_log_probs(spmm(layer2, np.vstack([self.a2, a2_rows])), self.head.b2)
+            log_probs = gcn_log_probs(spmm(layer2, np.vstack([a2, a2_rows])), self.head.b2)
             picked_new = log_probs[np.arange(out.shape[0]), self.labels[out_node]]
 
         out_bounds = np.searchsorted(out_cand, np.arange(k + 1))
@@ -494,6 +495,15 @@ def sgc_gradient_attack(
     return plan
 
 
+# the plan generators by method name, each called as (graph, ptb_ratio,
+# config, rng); the config trains the gradient attack's surrogate
+ATTACK_METHODS = {
+    "random": lambda g, ptb, cfg, rng: random_flip_attack(g, ptb, rng),
+    "dice": lambda g, ptb, cfg, rng: dice_attack(g, ptb, rng),
+    "grad": lambda g, ptb, cfg, rng: sgc_gradient_attack(g, ptb, cfg, rng),
+}
+
+
 def apply_perturbation(g: Graph, plan: PerturbationPlan) -> Graph:
     """Apply the plan's flips; features, labels, and splits are untouched."""
     plan.validate_against(g)
@@ -527,30 +537,23 @@ def save_plan(plan: PerturbationPlan, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _plan_record(line: str) -> tuple[str, int, int] | dict:
+    """A flip `action<TAB>u<TAB>v`, or for a `#` header or comment line the
+    `budget=` and `ptb=` values it sets."""
+    if line.startswith("#"):
+        casts = {"budget": int, "ptb": float}
+        fields = (tok.partition("=") for tok in line[1:].split())
+        return {key: casts[key](value) for key, eq, value in fields if eq and key in casts}
+    toks = line.split("\t")
+    if len(toks) != 3 or toks[0] not in ("add", "remove"):
+        raise ValueError("expected `action<TAB>u<TAB>v`")
+    return toks[0], int(toks[1]), int(toks[2])
+
+
 def load_plan(path: str | Path) -> PerturbationPlan:
-    path = Path(path)
-    if not path.is_file():
-        raise DatasetFormatError(f"missing plan file: {path}")
-    budget = None
-    ptb = 0.0
-    flips: list[tuple[str, int, int]] = []
-    for idx, ln in enumerate(path.read_text().splitlines()):
-        if not ln.strip():
-            continue
-        try:
-            if ln.startswith("#"):
-                for tok in ln[1:].split():
-                    if tok.startswith("budget="):
-                        budget = int(tok.split("=", 1)[1])
-                    elif tok.startswith("ptb="):
-                        ptb = float(tok.split("=", 1)[1])
-                continue
-            toks = ln.split("\t")
-            if len(toks) != 3 or toks[0] not in ("add", "remove"):
-                raise DatasetFormatError(f"plan line {idx}: expected `action<TAB>u<TAB>v`")
-            flips.append((toks[0], int(toks[1]), int(toks[2])))
-        except ValueError as exc:
-            raise DatasetFormatError(f"plan line {idx}: {exc}") from exc
-    if budget is None:
-        budget = len(flips)
-    return PerturbationPlan(flips=flips, budget=budget, ptb_ratio=ptb)
+    """The plan `save_plan` writes: the last `budget=` and `ptb=` win, and the
+    budget defaults to the flip count."""
+    records = read_records(path, _plan_record, "plan line")
+    header = {k: v for r in records if isinstance(r, dict) for k, v in r.items()}
+    flips = [r for r in records if not isinstance(r, dict)]
+    return PerturbationPlan(flips, header.get("budget", len(flips)), header.get("ptb", 0.0))

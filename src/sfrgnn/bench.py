@@ -21,11 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import (
+    ATTACK_METHODS,
     PerturbationPlan,
     apply_perturbation,
-    dice_attack,
     load_plan,
-    random_flip_attack,
     sgc_gradient_attack,
 )
 from .errors import SfrError, ValidationError
@@ -34,7 +33,7 @@ from .nn import feature_operand
 from .rng import RngState, derive_trial_seed
 from .trainer import VARIANTS, TrainConfig, predict, train
 
-ATTACKS = ("none", "random", "dice", "grad", "external")
+ATTACKS = ("none", *ATTACK_METHODS, "external")
 WARMUP_EPOCHS = 5  # leading epochs of every stage that `bench_timing` drops
 
 
@@ -64,7 +63,7 @@ class ExperimentSpec:
             raise ValidationError(f"attack must be one of {ATTACKS}")
         if self.attack == "none" and self.ptb_ratio is not None:
             raise ValidationError("ptb_ratio is only meaningful with an attack")
-        if self.attack in ("random", "dice", "grad") and self.ptb_ratio is None:
+        if self.attack in ATTACK_METHODS and self.ptb_ratio is None:
             raise ValidationError(f"attack={self.attack} requires ptb_ratio")
         if self.attack == "external" and not self.plan_path:
             raise ValidationError("attack=external requires a plan file")
@@ -157,12 +156,8 @@ def _make_plan(spec: ExperimentSpec, g: Graph, repeat: int, base: RngState):
         return None
     if spec.attack == "external":
         return load_plan(spec.plan_path)
-    attack_rng = base.substream(f"attack-{repeat}")
-    if spec.attack == "random":
-        return random_flip_attack(g, spec.ptb_ratio, attack_rng)
-    if spec.attack == "dice":
-        return dice_attack(g, spec.ptb_ratio, attack_rng)
-    return sgc_gradient_attack(g, spec.ptb_ratio, spec.config, attack_rng)
+    generate = ATTACK_METHODS[spec.attack]
+    return generate(g, spec.ptb_ratio, spec.config, base.substream(f"attack-{repeat}"))
 
 
 def _run_trial(

@@ -16,8 +16,9 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .attacks import dice_attack, random_flip_attack, save_plan, sgc_gradient_attack
+from .attacks import ATTACK_METHODS, save_plan
 from .bench import (
+    ATTACKS,
     ExperimentSpec,
     bench_timing,
     emit_report,
@@ -62,9 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run a seeded accuracy experiment")
     p_train.add_argument("--dataset", required=True)
     p_train.add_argument("--variant", required=True, choices=VARIANTS)
-    p_train.add_argument(
-        "--attack", default="none", choices=["none", "random", "dice", "grad", "external"]
-    )
+    p_train.add_argument("--attack", default="none", choices=ATTACKS)
     p_train.add_argument("--plan", default=None, help="plan.tsv for --attack external")
     p_train.add_argument("--ptb", type=float, default=None)
     p_train.add_argument("--repeats", type=int, default=10)
@@ -75,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_attack = sub.add_parser("attack", help="generate a perturbation plan")
     p_attack.add_argument("--dataset", required=True)
-    p_attack.add_argument("--method", required=True, choices=["random", "dice", "grad"])
+    p_attack.add_argument("--method", required=True, choices=tuple(ATTACK_METHODS))
     p_attack.add_argument("--ptb", type=float, required=True)
     p_attack.add_argument("--seed", type=int, default=0)
     p_attack.add_argument("--out", required=True)
@@ -123,13 +122,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     g = load_graph(args.dataset, split_seed=args.seed)
-    rng = RngState(args.seed)
-    if args.method == "random":
-        plan = random_flip_attack(g, args.ptb, rng)
-    elif args.method == "dice":
-        plan = dice_attack(g, args.ptb, rng)
-    else:
-        plan = sgc_gradient_attack(g, args.ptb, TrainConfig(), rng)
+    plan = ATTACK_METHODS[args.method](g, args.ptb, TrainConfig(), RngState(args.seed))
     save_plan(plan, args.out)
     print(f"wrote {args.out} ({len(plan.flips)} flips, budget {plan.budget})")
     if plan.trace:

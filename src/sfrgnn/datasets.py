@@ -4,7 +4,7 @@ Converts the classic raw Cora distribution (cora.content + cora.cites) into
 the dataset-directory layout this package loads, downloading the archive
 first when a network is available. Node order follows cora.content; class
 names map to label ids in sorted order; citation lines become undirected
-edges with duplicates and self-citations dropped.
+edges, dropping duplicates, self-citations and lines not naming two known papers.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetFormatError
-from .graph import Graph, SplitMasks, csr_from_edge_pairs, write_graph
+from .graph import (
+    Graph,
+    SplitMasks,
+    csr_from_edge_pairs,
+    feature_matrix,
+    read_records,
+    write_graph,
+)
 
 CORA_URLS = (
     "https://linqs-data.soe.ucsc.edu/public/lbc/cora.tgz",
@@ -71,31 +78,24 @@ def prepare_cora(dest: str | Path, raw_dir: str | Path | None = None) -> Path:
     if raw is None:
         raw = download_cora(raw_dir)
 
-    content_lines = (raw / "cora.content").read_text().splitlines()
-    paper_index: dict[str, int] = {}
-    feature_rows: list[np.ndarray] = []
-    class_names: list[str] = []
-    for ln in content_lines:
-        toks = ln.split()
+    def paper(line: str) -> tuple[str, np.ndarray, str]:
+        toks = line.split()
         if len(toks) < 3:
-            raise DatasetFormatError("malformed cora.content line")
-        paper_id, *feats, cls = toks
-        paper_index[paper_id] = len(feature_rows)
-        feature_rows.append(np.array([float(t) for t in feats]))
-        class_names.append(cls)
-    features = np.stack(feature_rows)
+            raise ValueError("expected `paper_id<TAB>features...<TAB>class`")
+        return toks[0], np.array([float(t) for t in toks[1:-1]]), toks[-1]
+
+    papers = read_records(raw / "cora.content", paper)
+    paper_index = {paper_id: i for i, (paper_id, _, _) in enumerate(papers)}
+    features = feature_matrix([feats for _, feats, _ in papers], "cora.content")
+    class_names = [cls for _, _, cls in papers]
     label_of = {name: i for i, name in enumerate(sorted(set(class_names)))}
     labels = np.array([label_of[c] for c in class_names], dtype=np.int64)
 
-    pairs = []
-    for ln in (raw / "cora.cites").read_text().splitlines():
-        toks = ln.split()
-        if len(toks) != 2:
-            continue
-        a, b = paper_index.get(toks[0]), paper_index.get(toks[1])
-        if a is None or b is None or a == b:
-            continue
-        pairs.append((a, b))
+    def citation(line: str) -> list[int] | None:  # None drops the line
+        ids = [paper_index.get(tok) for tok in line.split()]
+        return ids if len(ids) == 2 and None not in ids and ids[0] != ids[1] else None
+
+    pairs = [p for p in read_records(raw / "cora.cites", citation) if p is not None]
     n = features.shape[0]
     g = Graph(
         features=features,

@@ -22,11 +22,14 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .errors import DatasetFormatError, ValidationError
 from .rng import RngState
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -108,7 +111,7 @@ class CsrAdjacency:
         keys = self.edge_keys()
         return np.stack([keys // self.dim, keys % self.dim], axis=1)
 
-    def validate(self, binary: bool = True) -> None:
+    def validate(self) -> None:
         ro, ci = self.row_offsets, self.col_indices
         if ro.shape[0] != self.dim + 1 or ro[0] != 0 or ro[-1] != ci.shape[0]:
             raise ValidationError("CSR row_offsets inconsistent with dim/nnz")
@@ -124,7 +127,7 @@ class CsrAdjacency:
                 raise ValidationError("CSR columns must be sorted and unique per row")
         if np.any(rows == ci):
             raise ValidationError("adjacency must have a zero diagonal")
-        if binary and ci.shape[0] and not np.all(self.values == 1.0):
+        if ci.shape[0] and not np.all(self.values == 1.0):
             raise ValidationError("adjacency values must all be 1")
         if not np.array_equal(keys, np.sort(ci * self.dim + rows)):
             raise ValidationError("adjacency is not structurally symmetric")
@@ -177,7 +180,7 @@ class Graph:
             raise ValidationError("labels length != number of nodes")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.num_classes:
             raise ValidationError("labels must lie in [0, num_classes)")
-        self.adjacency.validate(binary=True)
+        self.adjacency.validate()
         self.splits.validate(n)
 
     def with_adjacency(self, adj: CsrAdjacency) -> "Graph":
@@ -236,7 +239,7 @@ def normalize_adjacency(adj: CsrAdjacency) -> CsrAdjacency:
     with dt_i = degree_i + 1. Isolated nodes keep a unit diagonal entry. Raises
     ValidationError unless `adj` is a valid symmetric, binary, zero-diagonal
     adjacency."""
-    adj.validate(binary=True)
+    adj.validate()
     n = adj.dim
     keys = np.sort(np.concatenate([adj.entry_rows() * n + adj.col_indices, np.arange(n) * (n + 1)]))
     dt = adj.degrees().astype(np.float64) + 1.0
@@ -280,10 +283,40 @@ def graph_stats(g: Graph) -> GraphStats:
     )
 
 
-def _read_lines(path: Path) -> list[str]:
+def read_records(
+    path: str | Path, parse: Callable[[str], T], line_name: str = "line"
+) -> list[T]:
+    """`parse(line)` of each non-blank line of the UTF-8 text file `path`.
+
+    A missing file, a line that is not UTF-8, or one that `parse` rejects with
+    ValueError raise DatasetFormatError, whose message names the file and the
+    0-based line, blank lines counted: `<path>: <line_name> <index>: ...`.
+    """
+    path = Path(path)
     if not path.is_file():
         raise DatasetFormatError(f"missing required file: {path}")
-    return path.read_text().splitlines()
+    records = []
+    for idx, raw in enumerate(path.read_bytes().splitlines()):
+        try:
+            line = raw.decode("utf-8")  # UnicodeDecodeError is a ValueError
+            if line.strip():
+                records.append(parse(line))
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}: {line_name} {idx}: {exc}") from exc
+    return records
+
+
+def feature_matrix(rows: list, name: str) -> np.ndarray:
+    """The float64 N x d matrix of the feature rows (float lists or arrays)
+    read from file `name`."""
+    if not rows or len({len(r) for r in rows}) != 1:
+        raise DatasetFormatError(f"{name} is empty or has rows of different widths")
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _edge(line: str) -> tuple[int, int]:
+    u, v = line.split()  # a ValueError unless the line holds two tokens
+    return int(u), int(v)
 
 
 def _load_features(dataset_dir: Path) -> np.ndarray:
@@ -300,26 +333,15 @@ def _load_features(dataset_dir: Path) -> np.ndarray:
         if body.shape[0] != n * d:
             raise DatasetFormatError("features.f32le payload does not match header")
         return body.reshape(n, d).astype(np.float32, copy=False)
-    lines = _read_lines(dataset_dir / "features.tsv")
-    feats = []
-    for idx, ln in enumerate(lines):
-        if not ln.strip():
-            continue
-        try:
-            feats.append([float(tok) for tok in ln.split("\t")])
-        except ValueError as exc:
-            raise DatasetFormatError(f"features.tsv line {idx}: {exc}") from exc
-    if not feats:
-        raise DatasetFormatError("features.tsv is empty")
-    widths = {len(r) for r in feats}
-    if len(widths) != 1:
-        raise DatasetFormatError("features.tsv rows have inconsistent widths")
-    return np.asarray(feats, dtype=np.float64)
+    rows = read_records(
+        dataset_dir / "features.tsv", lambda line: [float(tok) for tok in line.split("\t")]
+    )
+    return feature_matrix(rows, "features.tsv")
 
 
 def _read_json(path: Path) -> dict:
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DatasetFormatError(f"{path.name} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -336,9 +358,10 @@ def _json_int(value, what: str) -> int:
 def load_graph(dataset_dir: str | Path, split_seed: int = 0) -> Graph:
     """Load a dataset directory into a validated Graph.
 
-    Duplicate / reversed edge lines are deduplicated; self-loop lines and
-    non-finite features are rejected. If splits.json is absent, a 10/10/80
-    split is generated deterministically from `split_seed`.
+    The text files are read by `read_records`. Duplicate / reversed edge
+    lines are deduplicated; self-loop lines and non-finite features are
+    rejected. If splits.json is absent, a 10/10/80 split is generated
+    deterministically from `split_seed`.
     """
     dataset_dir = Path(dataset_dir)
     if not dataset_dir.is_dir():
@@ -351,32 +374,13 @@ def load_graph(dataset_dir: str | Path, split_seed: int = 0) -> Graph:
     if bad.shape[0]:
         raise DatasetFormatError(f"features row {bad[0]} holds a non-finite value")
 
-    label_lines = _read_lines(dataset_dir / "labels.tsv")
-    labels = []
-    for idx, ln in enumerate(label_lines):
-        if not ln.strip():
-            continue
-        try:
-            labels.append(int(ln.strip()))
-        except ValueError as exc:
-            raise DatasetFormatError(f"labels.tsv line {idx}: {exc}") from exc
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(read_records(dataset_dir / "labels.tsv", int), dtype=np.int64)
     if labels.shape[0] != n:
         raise DatasetFormatError(
             f"labels.tsv has {labels.shape[0]} rows but features describe {n} nodes"
         )
 
-    pairs = []
-    for idx, ln in enumerate(_read_lines(dataset_dir / "edges.tsv")):
-        if not ln.strip():
-            continue
-        toks = ln.split()
-        if len(toks) != 2:
-            raise DatasetFormatError(f"edges.tsv line {idx}: expected `u<TAB>v`")
-        try:
-            pairs.append((int(toks[0]), int(toks[1])))
-        except ValueError as exc:
-            raise DatasetFormatError(f"edges.tsv line {idx}: {exc}") from exc
+    pairs = read_records(dataset_dir / "edges.tsv", _edge)
     adjacency = csr_from_edge_pairs(n, np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
 
     name = dataset_dir.name

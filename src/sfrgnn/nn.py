@@ -216,6 +216,7 @@ class ForwardCache:
     a1: np.ndarray  # x @ w1
     h: np.ndarray  # post-ReLU, pre-dropout hidden
     hd: np.ndarray  # hidden after dropout (== h in eval mode)
+    a2: np.ndarray  # hd @ w2, the layer-2 input
     drop_scale: np.ndarray | None  # inverted-dropout scale, None in eval mode
     log_probs: np.ndarray
     params: ModelParams
@@ -289,7 +290,7 @@ def gcn_forward(
     log_probs = gcn_log_probs(s2, params.b2)
 
     cache = ForwardCache(
-        x=x, plan=plan, a1=a1, h=h, hd=hd, drop_scale=drop_scale,
+        x=x, plan=plan, a1=a1, h=h, hd=hd, a2=a2, drop_scale=drop_scale,
         log_probs=log_probs, params=params,
     )
     return log_probs, cache
@@ -349,9 +350,8 @@ def gcn_backward_wrt_prop(
     if cache.plan.layer1 is None or cache.plan.hidden_rows is not None:
         raise ValidationError("needs a full-graph forward pass with propagation")
     dlogits, _, ds1 = _backward_to_s1(cache, grad_log_probs, None)
-    a2 = cache.hd @ cache.params.w2
     u = np.hstack([dlogits, ds1]).astype(np.float64, copy=False)
-    v = np.hstack([a2, cache.a1]).astype(np.float64, copy=False)
+    v = np.hstack([cache.a2, cache.a1]).astype(np.float64, copy=False)
     return u, v
 
 

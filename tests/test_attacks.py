@@ -195,6 +195,16 @@ def test_plan_tsv_round_trip(tmp_path):
     assert loaded.ptb_ratio == plan.ptb_ratio
 
 
+def test_plan_comment_and_header_lines(tmp_path):
+    path = tmp_path / "plan.tsv"
+    path.write_text("# budget=9 ptb=0.5\n\n# a comment\nadd\t0\t5\n# budget=3\n\nremove\t2\t1\n")
+    plan = load_plan(path)
+    assert plan.flips == [("add", 0, 5), ("remove", 2, 1)]
+    assert (plan.budget, plan.ptb_ratio) == (3, 0.5)  # the last `budget=` wins
+    path.write_text("add\t0\t5\n")
+    assert (load_plan(path).budget, load_plan(path).ptb_ratio) == (1, 0.0)
+
+
 def set_apply(g, plan):
     """Reference `apply_perturbation`: the flips applied to a Python set of pairs."""
     edges = {(int(u), int(v)) for u, v in g.adjacency.edge_pairs()}

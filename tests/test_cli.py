@@ -205,6 +205,24 @@ def test_malformed_json_dataset_file_exits_one(dataset, tmp_path, capsys, name):
     assert f"{name} is not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["labels.tsv", "edges.tsv", "features.tsv", "plan.tsv"])
+def test_non_utf8_text_input_exits_one(dataset, tmp_path, capsys, name):
+    copy = tmp_path / "copy"
+    shutil.copytree(dataset, copy)
+    plan = copy / "plan.tsv"
+    plan.write_text("# budget=1 ptb=0.1\nadd\t0\t39\n")
+    target = copy / name
+    lines = target.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]  # a Latin-1 byte, never valid UTF-8
+    target.write_bytes(b"\n".join(lines))
+    rc = main(_train_args(copy, tmp_path, "--attack", "external", "--plan", str(plan)))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{target}: " in err and "line 1: 'utf-8' codec can't decode" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_non_integer_sfr_threads_exits_one(dataset, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SFR_THREADS", "abc")
     rc = main(_train_args(dataset, tmp_path))

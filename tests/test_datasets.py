@@ -1,6 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from sfrgnn.datasets import find_raw_cora, prepare_cora
+from sfrgnn.errors import DatasetFormatError
 from sfrgnn.graph import graph_stats, load_graph, write_graph
 
 
@@ -47,3 +53,32 @@ def test_prepare_converts_raw_citation_files(tmp_path):
     write_graph(g, ref, binary_features=True)
     for name in ("edges.tsv", "features.tsv", "features.f32le", "labels.tsv", "meta.json"):
         assert (dest / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("cora.content", b"1061127\t0", b"1061127\t\xe9", "line 1: 'utf-8' codec"),
+    ("cora.cites", b"13195\t13195", b"13195\t\xe913195", "line 3: 'utf-8' codec"),
+    ("cora.content", b"1106406\t0", b"1106406\tx", "line 2: could not convert"),
+    ("cora.content", b"\t0\tNeural", b"\tNeural", "rows of different widths"),
+], ids=["content-not-utf8", "cites-not-utf8", "content-not-numeric", "content-widths"])
+def test_malformed_raw_citation_file_is_format_error(tmp_path, name, old, new, message):
+    raw = tmp_path / "raw" / "cora"
+    write_raw_citation_fixture(raw)
+    (raw / name).write_bytes((raw / name).read_bytes().replace(old, new, 1))
+    with pytest.raises(DatasetFormatError, match=message) as info:
+        prepare_cora(tmp_path / "out", raw_dir=tmp_path / "raw")
+    assert name in str(info.value)
+
+
+def test_fetch_script_reports_format_errors_without_a_traceback(tmp_path):
+    raw = tmp_path / "raw" / "cora"
+    write_raw_citation_fixture(raw)
+    (raw / "cora.content").write_text("31336\tx\tGenetic_Algorithms\n")
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fetch_cora.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--dest", str(tmp_path / "out"), "--raw-dir", str(raw)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == DatasetFormatError.exit_code == 1
+    assert done.stderr.startswith("error: ") and "line 0: could not convert" in done.stderr
+    assert "Traceback" not in done.stderr

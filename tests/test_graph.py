@@ -88,6 +88,13 @@ def test_load_missing_file_is_format_error(tmp_path):
         load_graph(tmp_path)
 
 
+def test_bad_line_is_reported_with_its_file_and_index_counting_blank_lines(tmp_path):
+    d = write_dataset(tmp_path, ["0\t1"], ["1.0", "2.0"], ["0", "", "x"])
+    with pytest.raises(DatasetFormatError) as info:
+        load_graph(d)
+    assert str(info.value).startswith(f"{d / 'labels.tsv'}: line 2: invalid literal")
+
+
 def test_load_splits_must_partition(tmp_path):
     d = write_dataset(
         tmp_path,

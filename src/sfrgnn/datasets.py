@@ -4,7 +4,8 @@ Converts the classic raw Cora distribution (cora.content + cora.cites) into
 the dataset-directory layout this package loads, downloading the archive
 first when a network is available. Node order follows cora.content; class
 names map to label ids in sorted order; citation lines become undirected
-edges, dropping duplicates, self-citations and lines not naming two known papers.
+edges, dropping duplicates, self-citations and citations of unknown papers;
+a citation line that does not hold exactly two ids is a DatasetFormatError.
 """
 
 from __future__ import annotations
@@ -92,8 +93,11 @@ def prepare_cora(dest: str | Path, raw_dir: str | Path | None = None) -> Path:
     labels = np.array([label_of[c] for c in class_names], dtype=np.int64)
 
     def citation(line: str) -> list[int] | None:  # None drops the line
-        ids = [paper_index.get(tok) for tok in line.split()]
-        return ids if len(ids) == 2 and None not in ids and ids[0] != ids[1] else None
+        toks = line.split()
+        if len(toks) != 2:
+            raise ValueError("expected `cited_paper_id<TAB>citing_paper_id`")
+        ids = [paper_index.get(tok) for tok in toks]
+        return ids if None not in ids and ids[0] != ids[1] else None
 
     pairs = [p for p in read_records(raw / "cora.cites", citation) if p is not None]
     n = features.shape[0]

@@ -3,7 +3,11 @@ with analytic gradients, Adam, and finite-difference verification.
 
 No autodiff anywhere: every gradient below is derived by hand and checked
 against central finite differences (see `check_gradients`). All kernels are
-pure functions; in-place mutation is confined to `adam_step`.
+pure functions; in-place mutation is confined to Adam: `AdamState.zeros_like`
+packs the parameters into one flat buffer and `adam_step` updates it.
+
+Every op of an epoch, InfoNCE included, runs in the weights' dtype (float32
+by default); only the dropout scale is drawn in float64 and cast.
 
 Shapes: x is N x d, w1 is d x F, w2 is F x C. Propagation `prop` is either a
 normalized CSR adjacency or None, in which case the propagation step is
@@ -44,6 +48,10 @@ from .graph import CsrAdjacency
 from .rng import RngState
 
 NORM_EPS = 1e-12  # cosine-similarity zero-norm clamp
+# InfoNCE's two block buffers hold at most this many similarities each: 2^17
+# (512 KB in f32, 1 MB in f64, within one core's L2 cache), as in the
+# attack's score passes. At T = 270 the 485-row block covers every anchor.
+INFONCE_BLOCK_ELEMENTS = 1 << 17
 # Features at most this dense are multiplied as scipy CSR. At N=2708, d=1433
 # and 16 columns (f32), x @ w1 plus x.T @ da1 take 0.4 ms as CSR against
 # 5.2 ms dense at 1% density, 2.0 against 5.5 ms at 5%, and break even near 10%.
@@ -171,9 +179,11 @@ def params_to_vector(p: ModelParams) -> np.ndarray:
 
 
 def vector_to_params(vec: np.ndarray, like: ModelParams) -> ModelParams:
+    """The flat `vec` in the shapes and dtypes of like's arrays: consecutive
+    views of it where the dtype is vec's, else cast copies."""
     out, i = [], 0
     for a in like.arrays():
-        out.append(vec[i : i + a.size].reshape(a.shape).astype(a.dtype))
+        out.append(vec[i : i + a.size].reshape(a.shape).astype(a.dtype, copy=False))
         i += a.size
     return ModelParams(*out)
 
@@ -375,6 +385,17 @@ def _normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return z / clamped[:, None], norms, clamped
 
 
+def _through_norm(draw: np.ndarray, unit: np.ndarray, norms: np.ndarray, clamp: np.ndarray):
+    """`draw` taken back through the row normalization, in place:
+    d(x/n)/dx = (I - u u^T)/n on the sphere, or a plain 1/eps scaling where
+    the norm sat at the clamp (clamp = eps there, and no projection)."""
+    inner = (draw * unit).sum(axis=1, keepdims=True)
+    inner *= (norms > NORM_EPS)[:, None]
+    draw -= unit * inner
+    draw /= clamp[:, None]
+    return draw
+
+
 def infonce_loss(
     z: np.ndarray,
     z_aug: np.ndarray,
@@ -390,6 +411,11 @@ def infonce_loss(
     of each is the same node. Analytic gradients flow to both inputs; rows
     outside the mask get zero gradient. Zero-norm rows are clamped at
     NORM_EPS before division.
+
+    Computes in the inputs' dtype and never forms the T x T similarities:
+    the anchors are swept in blocks of max(1, INFONCE_BLOCK_ELEMENTS // T)
+    rows, each taking its log-softmax over all T columns. With one block
+    (T <= 362) the arithmetic is that of the whole matrix.
     """
     if not (np.isfinite(temperature) and temperature > 0.0):
         raise ValidationError("temperature must be finite and > 0")
@@ -402,47 +428,61 @@ def infonce_loss(
     if t == 0:
         raise ValidationError("infonce_loss over an empty mask")
 
-    u_raw = z[idx].astype(np.float64)
-    v_raw = z_aug[idx_aug].astype(np.float64)
-    u, u_norm, u_clamp = _normalize_rows(u_raw)
-    v, v_norm, v_clamp = _normalize_rows(v_raw)
+    dtype = np.result_type(z.dtype, z_aug.dtype, np.float32)
+    u, u_norm, u_clamp = _normalize_rows(z[idx].astype(dtype, copy=False))
+    v, v_norm, v_clamp = _normalize_rows(z_aug[idx_aug].astype(dtype, copy=False))
 
-    sims = (u @ v.T) / temperature
-    log_p = _log_softmax(sims)
-    loss = -float(np.diagonal(log_p).mean())
+    rows = max(1, INFONCE_BLOCK_ELEMENTS // t)
+    sims_buf = np.empty((min(rows, t), t), dtype)
+    exp_buf = np.empty_like(sims_buf)
+    diag = np.empty(t, dtype)
+    du, dv = np.empty_like(u), np.zeros_like(v)
+    for r0 in range(0, t, rows):
+        r1 = min(r0 + rows, t)
+        s, e = sims_buf[: r1 - r0], exp_buf[: r1 - r0]
+        np.matmul(u[r0:r1], v.T, out=s)
+        s /= temperature
+        s -= s.max(axis=1, keepdims=True)
+        np.exp(s, out=e)
+        lse = e.sum(axis=1, keepdims=True)
+        s -= np.log(lse, out=lse)  # s is the block's rows of log p
+        diag[r0:r1] = np.diagonal(s, r0)
+        np.exp(s, out=e)
+        e.reshape(-1)[r0 :: t + 1] -= 1.0  # p - I on the block's diagonal
+        e /= t
+        np.matmul(e, v, out=du[r0:r1])
+        dv += e.T @ u[r0:r1]
+    du /= temperature
+    dv /= temperature
 
-    dsims = (np.exp(log_p) - np.eye(t)) / t
-    du = (dsims @ v) / temperature
-    dv = (dsims.T @ u) / temperature
-
-    # through row normalization: d(x/n)/dx = (I - u u^T)/n on the sphere,
-    # or a plain 1/eps scaling when the norm sat at the clamp.
-    def through_norm(draw, unit, norms, clamp):
-        live = norms > NORM_EPS
-        out = np.empty_like(draw)
-        inner = (draw * unit).sum(axis=1, keepdims=True)
-        out[live] = (draw[live] - unit[live] * inner[live]) / clamp[live, None]
-        out[~live] = draw[~live] / NORM_EPS
-        return out
-
-    grad_z = np.zeros(z.shape, dtype=np.float64)
-    grad_z_aug = np.zeros(z_aug.shape, dtype=np.float64)
-    grad_z[idx] = through_norm(du, u, u_norm, u_clamp)
-    grad_z_aug[idx_aug] = through_norm(dv, v, v_norm, v_clamp)
-    return loss, grad_z.astype(z.dtype), grad_z_aug.astype(z.dtype)
+    grad_z = np.zeros(z.shape, dtype=z.dtype)
+    grad_z_aug = np.zeros(z_aug.shape, dtype=z.dtype)
+    grad_z[idx] = _through_norm(du, u, u_norm, u_clamp)
+    grad_z_aug[idx_aug] = _through_norm(dv, v, v_norm, v_clamp)
+    return -float(diag.mean()), grad_z, grad_z_aug
 
 
 @dataclass
 class AdamState:
-    m: ModelParams
-    v: ModelParams
+    """Adam over one flat buffer: `flat` holds the parameters, which the
+    ModelParams `zeros_like` packed view; m and v are the moments, `work` the
+    gathered gradient and two scratch buffers, all of the parameter count."""
+
+    flat: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    work: tuple[np.ndarray, np.ndarray, np.ndarray]
     t: int = 0
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "AdamState":
+        """Zero moments for `params`, whose four arrays this rebinds to views
+        of one contiguous copy of their values."""
+        flat = np.concatenate([a.ravel() for a in params.arrays()])
+        params.w1, params.b1, params.w2, params.b2 = vector_to_params(flat, params).arrays()
         return cls(
-            m=ModelParams(*(np.zeros_like(a) for a in params.arrays())),
-            v=ModelParams(*(np.zeros_like(a) for a in params.arrays())),
+            flat=flat, m=np.zeros_like(flat), v=np.zeros_like(flat),
+            work=(np.empty_like(flat), np.empty_like(flat), np.empty_like(flat)),
         )
 
 
@@ -458,17 +498,29 @@ def adam_step(
     lr: float,
     weight_decay: float,
 ) -> tuple[ModelParams, AdamState]:
-    """In-place Adam update with the L2 term folded into the gradient."""
+    """In-place Adam update with the L2 term folded into the gradient, in
+    whole-buffer operations on `state`, whose `zeros_like` packed `params`.
+    Each value sees the operations of a per-array update in the same order,
+    so the result is bitwise the same."""
+    if any(a.base is not state.flat for a in params.arrays()):
+        raise ValidationError("adam_step needs the params its AdamState.zeros_like packed")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    for p, g, m, v in zip(params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()):
-        g_eff = g + weight_decay * p if weight_decay else g
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g_eff
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g_eff * g_eff
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    p, m, v = state.flat, state.m, state.v
+    g, step, denom = state.work
+    np.concatenate([a.ravel() for a in grads.arrays()], out=g)
+    if weight_decay:
+        g += np.multiply(weight_decay, p, out=step)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=step)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, g, out=step)
+    v += np.multiply(step, g, out=step)
+    np.multiply(lr, np.divide(m, bc1, out=step), out=step)
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    denom += ADAM_EPS
+    p -= np.divide(step, denom, out=step)
     return params, state
 
 

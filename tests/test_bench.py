@@ -213,14 +213,16 @@ def test_reports_record_feature_operand(sbm_dir, tmp_path, sparse):
 
 
 def test_bench_timing_structure(tmp_path):
-    # Epochs of 1-6 ms, in which the matrix products outweigh the per-call
-    # overhead that the host's slow spells stretch most (perfbench/README.md);
-    # the 0.2-0.9 ms epochs of a 60-node graph are mostly that overhead.
-    g = sbm_graph([600, 600], p_in=0.01, p_out=0.001, seed=1, feature_dim=128,
-                  separation=1.2, train_ratio=0.2, val_ratio=0.2)
+    # Epochs of 1.5-10 ms, in which the matrix products outweigh the per-call
+    # overhead that the host's slow spells stretch most (perfbench/README.md).
+    # Pretraining computes the training rows alone, so they, the feature
+    # width and the hidden width set its cost: 600 x 512 x 64 takes about
+    # 1.5 ms, where 240 x 128 x 16 took 0.3 ms, mostly that overhead.
+    g = sbm_graph([600, 600], p_in=0.01, p_out=0.001, seed=1, feature_dim=512,
+                  separation=1.2, train_ratio=0.5, val_ratio=0.2)
     write_graph(g, tmp_path / "sbm1200")
     report = bench_timing(tmp_path / "sbm1200", ["sfr", "gcn"], repeats=2,
-                          cfg=TrainConfig(pretrain_epochs=30, finetune_epochs=10))
+                          cfg=TrainConfig(pretrain_epochs=30, finetune_epochs=10, hidden=64))
     stages = {(r["variant"], r["stage"]) for r in report.rows}
     assert ("sfr", "pretrain") in stages and ("sfr", "finetune") in stages
     assert ("gcn", "pretrain") in stages

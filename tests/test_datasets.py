@@ -26,6 +26,7 @@ def write_raw_citation_fixture(raw_dir):
         "1061127\t1106406",
         "13195\t13195",  # self-citation, must be dropped
         "13195\t31336",
+        "31336\t99999",  # unknown paper, must be dropped
     ]
     (raw_dir / "cora.content").write_text("".join(f"{ln}\n" for ln in content))
     (raw_dir / "cora.cites").write_text("".join(f"{ln}\n" for ln in cites))
@@ -60,7 +61,10 @@ def test_prepare_converts_raw_citation_files(tmp_path):
     ("cora.cites", b"13195\t13195", b"13195\t\xe913195", "line 3: 'utf-8' codec"),
     ("cora.content", b"1106406\t0", b"1106406\tx", "line 2: could not convert"),
     ("cora.content", b"\t0\tNeural", b"\tNeural", "rows of different widths"),
-], ids=["content-not-utf8", "cites-not-utf8", "content-not-numeric", "content-widths"])
+    ("cora.cites", b"13195\t31336", b"13195\t31336\t1061127", "line 4: expected `cited"),
+    ("cora.cites", b"1061127\t1106406", b"1061127", "line 2: expected `cited"),
+], ids=["content-not-utf8", "cites-not-utf8", "content-not-numeric", "content-widths",
+        "cites-three-tokens", "cites-one-token"])
 def test_malformed_raw_citation_file_is_format_error(tmp_path, name, old, new, message):
     raw = tmp_path / "raw" / "cora"
     write_raw_citation_fixture(raw)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,117 @@ def test_infonce_grads_zero_outside_mask():
     np.testing.assert_array_equal(gza[~mask], 0.0)
 
 
+def reference_infonce(z, z_aug, mask, temperature, mask_aug=None):
+    """The two-pass float64 InfoNCE the blocked one replaced: the whole T x T
+    similarity matrix, its log-softmax and gradient, and the normalization
+    backward by boolean masks."""
+    mask_aug = mask if mask_aug is None else mask_aug
+    idx, idx_aug = np.flatnonzero(mask), np.flatnonzero(mask_aug)
+    t = idx.shape[0]
+
+    def normalize(a):
+        norms = np.linalg.norm(a, axis=1)
+        clamped = np.maximum(norms, nn.NORM_EPS)
+        return a / clamped[:, None], norms, clamped
+
+    u, u_norm, u_clamp = normalize(z[idx].astype(np.float64))
+    v, v_norm, v_clamp = normalize(z_aug[idx_aug].astype(np.float64))
+    sims = (u @ v.T) / temperature
+    shifted = sims - sims.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = -float(np.diagonal(log_p).mean())
+    dsims = (np.exp(log_p) - np.eye(t)) / t
+    du = (dsims @ v) / temperature
+    dv = (dsims.T @ u) / temperature
+
+    def through_norm(draw, unit, norms, clamp):
+        live = norms > nn.NORM_EPS
+        out = np.empty_like(draw)
+        inner = (draw * unit).sum(axis=1, keepdims=True)
+        out[live] = (draw[live] - unit[live] * inner[live]) / clamp[live, None]
+        out[~live] = draw[~live] / nn.NORM_EPS
+        return out
+
+    grad_z = np.zeros(z.shape, dtype=np.float64)
+    grad_z_aug = np.zeros(z_aug.shape, dtype=np.float64)
+    grad_z[idx] = through_norm(du, u, u_norm, u_clamp)
+    grad_z_aug[idx_aug] = through_norm(dv, v, v_norm, v_clamp)
+    return loss, grad_z.astype(z.dtype), grad_z_aug.astype(z.dtype)
+
+
+def infonce_cases():
+    """(z, z_aug, mask, mask_aug, temperature): 7 anchors with a zero-norm
+    row, once on shared rows at tau = 0.5 and once with mask_aug != mask at
+    tau = 0.7; then 300 anchors, the benchmark's scale."""
+    gen = np.random.default_rng(30)
+    z, z_aug = gen.standard_normal((10, 5)), gen.standard_normal((12, 5))
+    z[3] = 0.0
+    mask = np.isin(np.arange(10), [0, 1, 3, 4, 6, 8, 9])
+    mask_aug = np.isin(np.arange(12), [1, 2, 3, 5, 7, 10, 11])
+    big, big_aug = gen.standard_normal((320, 16)), gen.standard_normal((320, 16))
+    return [
+        (z, z_aug[:10], mask, None, 0.5),
+        (z, z_aug, mask, mask_aug, 0.7),
+        (big, big_aug, np.arange(320) < 300, None, 0.5),
+    ]
+
+
+def test_infonce_single_block_is_bitwise_the_two_pass_reference():
+    for z, z_aug, mask, mask_aug, tau in infonce_cases():
+        assert mask.sum() <= nn.INFONCE_BLOCK_ELEMENTS // mask.sum()  # one block
+        got = infonce_loss(z, z_aug, mask, tau, mask_aug)
+        want = reference_infonce(z, z_aug, mask, tau, mask_aug)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_infonce_multi_block_matches_the_reference(monkeypatch):
+    # 21 // 7 = 3 anchors a block: blocks of 3, 3 and 1 rows
+    monkeypatch.setattr(nn, "INFONCE_BLOCK_ELEMENTS", 21)
+    for z, z_aug, mask, mask_aug, tau in infonce_cases()[:2]:
+        got = infonce_loss(z, z_aug, mask, tau, mask_aug)
+        want = reference_infonce(z, z_aug, mask, tau, mask_aug)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+        for a, b in zip(got[1:], want[1:]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+        fd_z = finite_difference_grad(lambda m: infonce_loss(m, z_aug, mask, tau, mask_aug)[0], z)
+        fd_za = finite_difference_grad(
+            lambda m: infonce_loss(z, m, mask, tau, mask_aug)[0], z_aug)
+        live = np.linalg.norm(z, axis=1) > 0  # a zero row's gradient is 1/eps-scaled
+        assert relative_gradient_error(got[1][live], fd_z[live]) < 1e-6
+        assert relative_gradient_error(got[2], fd_za) < 1e-6
+
+
+def test_infonce_float32_matches_the_float64_reference():
+    for z, z_aug, mask, mask_aug, tau in infonce_cases():
+        got = infonce_loss(z.astype(np.float32), z_aug.astype(np.float32), mask, tau, mask_aug)
+        want = reference_infonce(z, z_aug, mask, tau, mask_aug)
+        assert got[0] == pytest.approx(want[0], rel=1e-5)
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == np.float32
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max())
+
+
+def test_infonce_peak_memory_is_two_blocks_plus_linear_terms():
+    # README: two blocks of at most INFONCE_BLOCK_ELEMENTS values, O(T x H)
+    # for u, v, du and dv (and their temporaries), and the N x H gradients
+    t, n, h = 4000, 4200, 16
+    gen = np.random.default_rng(31)
+    z = gen.standard_normal((n, h)).astype(np.float32)
+    z_aug = gen.standard_normal((n, h)).astype(np.float32)
+    mask = np.arange(n) < t
+    tracemalloc.start()
+    try:
+        infonce_loss(z, z_aug, mask, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    itemsize = 4
+    bound = (2 * nn.INFONCE_BLOCK_ELEMENTS + 8 * t * h + 2 * n * h) * itemsize
+    assert peak <= bound, (peak, bound)
+
+
 def test_adam_zero_grad_is_identity():
     params = init_params(3, 2, 2, RngState(13), dtype=np.float64)
     before = params.copy()
@@ -289,6 +401,52 @@ def test_adam_two_runs_bitwise_identical():
     a, b = run(), run()
     for x, y in zip(a.arrays(), b.arrays()):
         assert np.array_equal(x, y)
+
+
+def reference_adam_step(params, grads, m, v, t, lr, weight_decay):
+    """The per-array Adam the flat-buffer step replaced; m and v are
+    ModelParams of the moments, t the step count after this step."""
+    bc1 = 1.0 - nn.ADAM_BETA1**t
+    bc2 = 1.0 - nn.ADAM_BETA2**t
+    for p, g, m_a, v_a in zip(params.arrays(), grads.arrays(), m.arrays(), v.arrays()):
+        g_eff = g + weight_decay * p if weight_decay else g
+        m_a *= nn.ADAM_BETA1
+        m_a += (1.0 - nn.ADAM_BETA1) * g_eff
+        v_a *= nn.ADAM_BETA2
+        v_a += (1.0 - nn.ADAM_BETA2) * g_eff * g_eff
+        p -= lr * (m_a / bc1) / (np.sqrt(v_a / bc2) + nn.ADAM_EPS)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_flat_adam_is_bitwise_the_per_array_reference(dtype, weight_decay):
+    gen = np.random.default_rng(40)
+    # four arrays the caller built separately, one of them not C-contiguous
+    params = ModelParams(
+        w1=np.asfortranarray(gen.standard_normal((6, 4)).astype(dtype)),
+        b1=gen.standard_normal(4).astype(dtype),
+        w2=gen.standard_normal((4, 3)).astype(dtype),
+        b2=np.zeros(3, dtype=dtype),
+    )
+    ref = params.copy()
+    m, v = zero_params(6, 4, 3, dtype), zero_params(6, 4, 3, dtype)
+    state = AdamState.zeros_like(params)
+    for t in range(1, 51):
+        grads = ModelParams(*(gen.standard_normal(a.shape).astype(dtype) for a in ref.arrays()))
+        adam_step(params, grads, state, lr=0.01, weight_decay=weight_decay)
+        reference_adam_step(ref, grads, m, v, t, lr=0.01, weight_decay=weight_decay)
+    for a, b in zip(params.arrays(), ref.arrays()):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+    assert np.array_equal(state.m, nn.params_to_vector(m).astype(dtype))
+    assert np.array_equal(state.v, nn.params_to_vector(v).astype(dtype))
+
+
+def test_adam_step_refuses_params_its_state_did_not_pack():
+    params = init_params(3, 2, 2, RngState(14), dtype=np.float64)
+    state = AdamState.zeros_like(params)
+    with pytest.raises(ValidationError):
+        adam_step(params.copy(), zero_params(3, 2, 2), state, lr=0.01, weight_decay=0.0)
 
 
 def test_check_gradients_passes():

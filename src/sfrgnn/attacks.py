@@ -495,12 +495,12 @@ def sgc_gradient_attack(
     return plan
 
 
-# the plan generators by method name, each called as (graph, ptb_ratio,
-# config, rng); the config trains the gradient attack's surrogate
+# the plan generators by method name, each called as (graph, ptb_ratio, rng);
+# the gradient attack's surrogate trains at the default config
 ATTACK_METHODS = {
-    "random": lambda g, ptb, cfg, rng: random_flip_attack(g, ptb, rng),
-    "dice": lambda g, ptb, cfg, rng: dice_attack(g, ptb, rng),
-    "grad": lambda g, ptb, cfg, rng: sgc_gradient_attack(g, ptb, cfg, rng),
+    "random": random_flip_attack,
+    "dice": dice_attack,
+    "grad": lambda g, ptb, rng: sgc_gradient_attack(g, ptb, TrainConfig(), rng),
 }
 
 

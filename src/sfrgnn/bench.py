@@ -31,7 +31,7 @@ from .errors import SfrError, ValidationError
 from .graph import Graph, load_graph
 from .nn import feature_operand
 from .rng import RngState, derive_trial_seed
-from .trainer import VARIANTS, TrainConfig, predict, train
+from .trainer import VARIANTS, TrainConfig, TrainingHistory, predict, train
 
 ATTACKS = ("none", *ATTACK_METHODS, "external")
 WARMUP_EPOCHS = 5  # leading epochs of every stage that `bench_timing` drops
@@ -61,12 +61,17 @@ class ExperimentSpec:
             raise ValidationError("repeats must be >= 1")
         if self.attack not in ATTACKS:
             raise ValidationError(f"attack must be one of {ATTACKS}")
-        if self.attack == "none" and self.ptb_ratio is not None:
-            raise ValidationError("ptb_ratio is only meaningful with an attack")
-        if self.attack in ATTACK_METHODS and self.ptb_ratio is None:
-            raise ValidationError(f"attack={self.attack} requires ptb_ratio")
-        if self.attack == "external" and not self.plan_path:
-            raise ValidationError("attack=external requires a plan file")
+        # a flag the run would not read is refused, not written into the report
+        if (self.ptb_ratio is None) == (self.attack in ATTACK_METHODS):
+            raise ValidationError(
+                f"attack={self.attack}: ptb_ratio is required by, and only read with, the "
+                f"attacks {', '.join(ATTACK_METHODS)}; a plan file holds its own"
+            )
+        if (not self.plan_path) == (self.attack == "external"):
+            raise ValidationError(
+                f"attack={self.attack}: a plan file is required by, and only read with, "
+                "attack=external"
+            )
         _validate_variants(self.variants)
         self.config.validate()
 
@@ -78,10 +83,7 @@ class TrialResult:
     seed: int
     clean_acc: dict[str, float]
     attacked_acc: dict[str, float]
-    pretrain_losses: list[float]
-    finetune_losses: list[float]
-    pretrain_epoch_ms: list[float]
-    finetune_epoch_ms: list[float]
+    history: TrainingHistory
 
 
 def _median(values: list[float]) -> float | None:
@@ -95,8 +97,8 @@ def compute_aggregates(trials: list[TrialResult]) -> dict:
         rows = [t for t in trials if t.variant == variant]
         clean = np.array([t.clean_acc["test"] for t in rows])
         attacked = np.array([t.attacked_acc["test"] for t in rows])
-        pre_ms = [ms for t in rows for ms in t.pretrain_epoch_ms]
-        fin_ms = [ms for t in rows for ms in t.finetune_epoch_ms]
+        pre_ms = [ms for t in rows for ms in t.history.pretrain.epoch_ms]
+        fin_ms = [ms for t in rows for ms in t.history.finetune.epoch_ms]
         out[variant] = {
             "repeats": len(rows),
             "clean_test_mean": float(clean.mean()),
@@ -122,9 +124,6 @@ class MetricsReport:
         recomputed = compute_aggregates(self.trials)
         if json.dumps(recomputed, sort_keys=True) != json.dumps(self.aggregates, sort_keys=True):
             raise SfrError("report aggregates do not match their per-trial rows")
-        for variant, agg in self.aggregates.items():
-            if agg["repeats"] != len([t for t in self.trials if t.variant == variant]):
-                raise SfrError("aggregate repeat count mismatch")
 
 
 def _trial_threads() -> int:
@@ -151,13 +150,13 @@ def environment_metadata(cfg: TrainConfig, g: Graph) -> dict:
     }
 
 
-def _make_plan(spec: ExperimentSpec, g: Graph, repeat: int, base: RngState):
-    if spec.attack == "none":
-        return None
-    if spec.attack == "external":
-        return load_plan(spec.plan_path)
-    generate = ATTACK_METHODS[spec.attack]
-    return generate(g, spec.ptb_ratio, spec.config, base.substream(f"attack-{repeat}"))
+def repeat_plan(
+    g: Graph, method: str, ptb_ratio: float, seed: int, repeat: int
+) -> PerturbationPlan:
+    """The plan that repeat `repeat` of a `seed`-seeded experiment trains on,
+    and that `sfr attack --seed seed` writes (repeat 0). It depends on no
+    training flag: the gradient attack's surrogate trains at the default config."""
+    return ATTACK_METHODS[method](g, ptb_ratio, RngState(seed).substream(f"attack-{repeat}"))
 
 
 def _run_trial(
@@ -171,27 +170,11 @@ def _run_trial(
     seed = derive_trial_seed(spec.base_seed, variant, repeat)
     try:
         model = train(g_trial, spec.config, variant, RngState(seed))
-        _, acc_on_trial = predict(model, g_trial)
-        if attacked:
-            _, acc_clean = predict(model, g_clean)
-            acc_attacked = acc_on_trial
-        else:
-            acc_clean = acc_on_trial  # one measurement, two fields
-            acc_attacked = acc_on_trial
+        _, acc_attacked = predict(model, g_trial)
+        acc_clean = predict(model, g_clean)[1] if attacked else acc_attacked
     except SfrError as exc:
         raise type(exc)(f"variant={variant} repeat={repeat}: {exc}") from exc
-    h = model.history
-    return TrialResult(
-        variant=variant,
-        repeat=repeat,
-        seed=seed,
-        clean_acc=acc_clean,
-        attacked_acc=acc_attacked,
-        pretrain_losses=h.pretrain.losses,
-        finetune_losses=h.finetune.losses,
-        pretrain_epoch_ms=h.pretrain.epoch_ms,
-        finetune_epoch_ms=h.finetune.epoch_ms,
-    )
+    return TrialResult(variant, repeat, seed, acc_clean, acc_attacked, model.history)
 
 
 def run_experiment(spec: ExperimentSpec) -> MetricsReport:
@@ -199,11 +182,13 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     spec.validate()
     threads = _trial_threads()
     g_clean = load_graph(spec.dataset, split_seed=spec.base_seed)
-    base = RngState(spec.base_seed)
 
     tasks = []
     for repeat in range(spec.repeats):
-        plan = _make_plan(spec, g_clean, repeat, base)
+        if spec.attack in ATTACK_METHODS:
+            plan = repeat_plan(g_clean, spec.attack, spec.ptb_ratio, spec.base_seed, repeat)
+        else:
+            plan = load_plan(spec.plan_path) if spec.attack == "external" else None
         attacked = plan is not None and len(plan.flips) > 0
         g_trial = apply_perturbation(g_clean, plan) if plan is not None else g_clean
         for variant in spec.variants:
@@ -253,7 +238,7 @@ def report_to_csv(report: MetricsReport) -> str:
                 t.variant, t.repeat, t.seed,
                 t.clean_acc["train"], t.clean_acc["val"], t.clean_acc["test"],
                 t.attacked_acc["train"], t.attacked_acc["val"], t.attacked_acc["test"],
-                _median(t.pretrain_epoch_ms), _median(t.finetune_epoch_ms),
+                _median(t.history.pretrain.epoch_ms), _median(t.history.finetune.epoch_ms),
             ]
         )
     return buf.getvalue()

@@ -2,9 +2,14 @@
 
 Variant names (`--variant`, `--variants`) are those of `trainer.VARIANTS`,
 e.g. `sfr`, `sfr_no_cl`, `gcn_jaccard`; reports are keyed by the same names.
-Exit codes: 0 success, 1 validation error (bad flags, unknown variant names,
-config values, env vars, dataset or plan files), 2 numeric error, 3 capacity
-error.
+`sfr attack --seed s` writes the plan that repeat 0 of `sfr train --attack
+<method> --seed s` trains on, and `sfr train --attack external --plan <file>`
+replays it; the `grad` surrogate trains at the default config, whatever the
+training flags.
+Exit codes: 0 success, 1 validation error (bad flags, flags the run would not
+read such as `--plan` without `--attack external` or `--ptb` with it, unknown
+variant names, config values, env vars, dataset or plan files), 2 numeric
+error, 3 capacity error.
 Env vars: SFR_THREADS (trial-level parallelism, a positive integer),
 SFR_PRECISION (f32|f64).
 """
@@ -24,6 +29,7 @@ from .bench import (
     emit_report,
     format_accuracy,
     paired_effect_probe,
+    repeat_plan,
     report_to_json,
     run_experiment,
 )
@@ -122,7 +128,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     g = load_graph(args.dataset, split_seed=args.seed)
-    plan = ATTACK_METHODS[args.method](g, args.ptb, TrainConfig(), RngState(args.seed))
+    plan = repeat_plan(g, args.method, args.ptb, args.seed, repeat=0)
     save_plan(plan, args.out)
     print(f"wrote {args.out} ({len(plan.flips)} flips, budget {plan.budget})")
     if plan.trace:

@@ -43,6 +43,16 @@ def path3_graph(labels=(0, 0, 1)):
     return build_graph(3, [(0, 1), (1, 2)], labels, train=[0, 2])
 
 
+def without_epoch_ms(trial: dict) -> dict:
+    """A report trial (`asdict(TrialResult)` or its JSON) without the wall
+    times of its history, the one field that reruns of a trial do not share."""
+    history = {
+        stage: {k: v for k, v in record.items() if k != "epoch_ms"}
+        for stage, record in trial["history"].items()
+    }
+    return {**trial, "history": history}
+
+
 def cora_location() -> Path | None:
     env = os.environ.get("SFR_CORA_DIR")
     candidates = [Path(env)] if env else []

@@ -24,7 +24,7 @@ from sfrgnn.rng import RngState, derive_trial_seed
 from sfrgnn.synth import sbm_graph
 from sfrgnn.trainer import TrainConfig
 
-from conftest import sparse_binary_features
+from conftest import sparse_binary_features, without_epoch_ms
 
 
 @pytest.fixture(scope="module")
@@ -60,10 +60,7 @@ def test_threaded_trials_match_serial(sbm_dir, monkeypatch, threads):
 
     def trials(value):
         monkeypatch.setenv("SFR_THREADS", value)
-        return [
-            {k: v for k, v in asdict(t).items() if not k.endswith("_epoch_ms")}
-            for t in run_experiment(spec).trials
-        ]
+        return [without_epoch_ms(asdict(t)) for t in run_experiment(spec).trials]
 
     assert trials(threads) == trials("1")
 
@@ -102,6 +99,12 @@ def test_spec_validation(sbm_dir):
         ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], attack="external").validate()
     with pytest.raises(ValidationError):
         ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], repeats=0).validate()
+    with pytest.raises(ValidationError, match="plan file is required by, and only read with"):
+        ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], attack="none",
+                       plan_path="missing.tsv").validate()  # plan the run would not read
+    with pytest.raises(ValidationError, match="a plan file holds its own"):
+        ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], attack="external",
+                       plan_path="plan.tsv", ptb_ratio=0.4).validate()  # ptb it would not read
 
 
 def test_json_round_trip_byte_identical(sbm_dir, tmp_path):

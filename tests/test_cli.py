@@ -8,6 +8,8 @@ from sfrgnn.cli import main
 from sfrgnn.graph import write_graph
 from sfrgnn.synth import sbm_graph
 
+from conftest import without_epoch_ms
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -31,6 +33,18 @@ def test_train_writes_report_and_exits_zero(dataset, tmp_path, capsys):
     assert len(payload["trials"]) == 2
     assert payload["spec"]["variants"] == ["sfr"]
     assert "clean" in capsys.readouterr().out
+    # a trial's record is its training history: four lists per stage, one
+    # entry per epoch; the contrastive epochs propagate 2 passes x 2 layers x
+    # (forward + backward), and pretraining reads no structure
+    for trial in payload["trials"]:
+        for old_key in ("pretrain_losses", "finetune_losses",
+                        "pretrain_epoch_ms", "finetune_epoch_ms"):
+            assert old_key not in trial
+        for stage, epochs, calls in (("pretrain", 15, 0), ("finetune", 4, 8)):
+            record = trial["history"][stage]
+            assert sorted(record) == ["epoch_ms", "losses", "prop_passes", "spmm_calls"]
+            assert all(len(values) == epochs for values in record.values())
+            assert record["spmm_calls"] == [calls] * epochs
 
 
 def test_attack_then_external_train(dataset, tmp_path):
@@ -49,6 +63,31 @@ def test_attack_then_external_train(dataset, tmp_path):
         "--out", str(out), "--format", "json",
     ])
     assert rc == 0
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("random", []),
+    ("dice", []),
+    ("grad", []),
+    ("grad", ["--pretrain-epochs", "15"]),  # the surrogate ignores training flags
+])
+def test_saved_plan_replays_the_trial_it_was_drawn_for(dataset, tmp_path, method, flags):
+    plan = tmp_path / "plan.tsv"
+    assert main(["attack", "--dataset", str(dataset), "--method", method,
+                 "--ptb", "0.1", "--seed", "5", "--out", str(plan)]) == 0
+    assert len(plan.read_text().splitlines()) > 1  # at least one flip
+
+    def trial(*attack):
+        out = tmp_path / "report.json"
+        assert main(["train", "--dataset", str(dataset), "--variant", "sfr",
+                     *attack, "--seed", "5", "--repeats", "1", "--finetune-epochs", "4",
+                     *flags, "--out", str(out)]) == 0
+        [only] = json.loads(out.read_text())["trials"]
+        return without_epoch_ms(only)
+
+    assert trial("--attack", "external", "--plan", str(plan)) == trial(
+        "--attack", method, "--ptb", "0.1"
+    )
 
 
 def test_grad_attack_prints_hit_rate(dataset, tmp_path, capsys):
@@ -253,6 +292,19 @@ def test_bad_flag_exits_one(dataset, tmp_path, capsys, extra):
     rc = main(_train_args(dataset, tmp_path, *extra))
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--attack", "none"], "attack=none: a plan file is required by, and only read with"),
+    (["--attack", "external", "--ptb", "0.4"], "attack=external: ptb_ratio is required by"),
+], ids=["plan-without-external", "ptb-with-external"])
+def test_flag_the_run_would_not_read_exits_one(dataset, tmp_path, capsys, extra, message):
+    plan = tmp_path / "plan.tsv"
+    plan.write_text("# budget=1 ptb=0.1\nadd\t0\t39\n")  # a valid plan, ratio 0.1
+    rc = main(_train_args(dataset, tmp_path, *extra, "--plan", str(plan)))
+    assert rc == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 

@@ -193,12 +193,12 @@ class _ExactFlipLoss:
     """
 
     def __init__(
-        self, adj: CsrAdjacency, head: ModelParams, a1: np.ndarray,
+        self, adj: CsrAdjacency, params: ModelParams, a1: np.ndarray,
         labels: np.ndarray, train_mask: np.ndarray,
     ) -> None:
-        self.adj, self.head, self.labels, self.train_mask = adj, head, labels, train_mask
+        self.adj, self.params, self.labels, self.train_mask = adj, params, labels, train_mask
         self.prop = normalize_adjacency(adj)
-        log_probs, self.cache = gcn_forward(head, a1, self.prop)
+        log_probs, self.cache = gcn_forward(params, None, self.prop, a1=a1)
         self.loss, self.grad_log_probs = nll_loss(log_probs, labels, train_mask)
         train_ids = np.flatnonzero(train_mask)
         self.picked = log_probs[train_ids, labels[train_ids]]
@@ -249,14 +249,14 @@ class _ExactFlipLoss:
 
         pos, cols, values = self._patched_entries(s1_cand, s1_node, u, v, add)
         layer1 = csr_from_keys(s1.shape[0], pos * n + cols, values=values, cols=n)
-        hidden = gcn_hidden(spmm(layer1, self.cache.a1), self.head.b1)
+        hidden = gcn_hidden(spmm(layer1, self.cache.a1), self.params.b1)
         a2 = self.cache.a2  # the layer-2 input of rows no toggle changes
         a2_rows = np.empty((s1.shape[0], a2.shape[1]), dtype=a2.dtype)
         for c in range(k):
             block = slice(s1_bounds[c], s1_bounds[c + 1])
             rows = s1_node[block]
             self.h[rows] = hidden[block]
-            a2_rows[block] = (self.h @ self.head.w2)[rows]
+            a2_rows[block] = (self.h @ self.params.w2)[rows]
             self.h[rows] = self.cache.h[rows]
 
         s2 = np.unique(s1_cand[pos] * n + cols)  # every column of an S1 row
@@ -272,7 +272,7 @@ class _ExactFlipLoss:
             cols = np.where(s1[at] == wanted, n + at, cols)
             width = n + s1.shape[0]
             layer2 = csr_from_keys(out.shape[0], pos * width + cols, values=values, cols=width)
-            log_probs = gcn_log_probs(spmm(layer2, np.vstack([a2, a2_rows])), self.head.b2)
+            log_probs = gcn_log_probs(spmm(layer2, np.vstack([a2, a2_rows])), self.params.b2)
             picked_new = log_probs[np.arange(out.shape[0]), self.labels[out_node]]
 
         out_bounds = np.searchsorted(out_cand, np.arange(k + 1))
@@ -450,10 +450,9 @@ def sgc_gradient_attack(
 
     surrogate = train(g, cfg, "gcn", rng.substream("surrogate"))
     params64 = surrogate.params.astype(np.float64)
-    # x @ w1 does not depend on the edges, so it is computed once; gcn_forward
-    # then sees it through an identity first layer, which reproduces it exactly
+    # x @ w1 does not depend on the edges, so it is computed once and every
+    # forward pass takes it as its layer-1 input
     a1 = feature_operand(g.features, np.float64, g.feature_operands) @ params64.w1
-    head = ModelParams(np.eye(a1.shape[1]), params64.b1, params64.w2, params64.b2)
 
     n = g.num_nodes
     edge_keys = g.adjacency.edge_keys()
@@ -462,7 +461,7 @@ def sgc_gradient_attack(
 
     def exact_for(keys: np.ndarray) -> _ExactFlipLoss:
         adj = csr_from_edge_pairs(n, np.stack([keys // n, keys % n], axis=1))
-        return _ExactFlipLoss(adj, head, a1, g.labels, g.splits.train)
+        return _ExactFlipLoss(adj, params64, a1, g.labels, g.splits.train)
 
     exact = exact_for(edge_keys)
     while len(plan.flips) < budget:

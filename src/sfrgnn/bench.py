@@ -178,19 +178,27 @@ def _run_trial(
 
 
 def run_experiment(spec: ExperimentSpec) -> MetricsReport:
-    """Load, attack (once per repeat), train every variant, aggregate."""
+    """Load, attack (once per repeat, or once for an external plan), train
+    every variant, aggregate."""
     spec.validate()
     threads = _trial_threads()
     g_clean = load_graph(spec.dataset, split_seed=spec.base_seed)
 
+    def poisoned(plan: PerturbationPlan | None) -> tuple[bool, Graph]:
+        if plan is None:
+            return False, g_clean
+        return len(plan.flips) > 0, apply_perturbation(g_clean, plan)
+
+    if spec.attack not in ATTACK_METHODS:  # one graph serves every repeat
+        shared = poisoned(load_plan(spec.plan_path) if spec.attack == "external" else None)
     tasks = []
     for repeat in range(spec.repeats):
         if spec.attack in ATTACK_METHODS:
-            plan = repeat_plan(g_clean, spec.attack, spec.ptb_ratio, spec.base_seed, repeat)
+            attacked, g_trial = poisoned(
+                repeat_plan(g_clean, spec.attack, spec.ptb_ratio, spec.base_seed, repeat)
+            )
         else:
-            plan = load_plan(spec.plan_path) if spec.attack == "external" else None
-        attacked = plan is not None and len(plan.flips) > 0
-        g_trial = apply_perturbation(g_clean, plan) if plan is not None else g_clean
+            attacked, g_trial = shared
         for variant in spec.variants:
             tasks.append((g_trial, g_clean, attacked, variant, repeat))
 

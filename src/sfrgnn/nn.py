@@ -30,8 +30,11 @@ The feature matrix enters the products x @ w1 and x.T @ da1 as the operand
 `feature_operand` returns: scipy CSR when at most FEATURE_CSR_MAX_DENSITY of
 its entries are nonzero (bag-of-words inputs such as Cora's, 1.3%), else the
 ndarray itself, so dense-feature graphs run the dense BLAS products; a loop
-over one x builds the transpose once (`feature_transpose`). Feature
-products do not go through `spmm` and are not counted as propagations.
+over one x builds the transpose once (`feature_transpose`). Fine-tuning's
+contrastive view is the graph's features plus a row patch, and its operand
+the graph's with those rows swapped in (`patched_operand`), of the same
+kind. Feature products do not go through `spmm` and are not counted as
+propagations.
 scipy is imported at the first propagation or the first sparse feature
 operand, not when a graph is loaded.
 """
@@ -118,6 +121,28 @@ def feature_transpose(x):
     each output row over x's rows in ascending order, as the CSC view x.T
     does, so its bytes are the same; the CSR product is the faster one."""
     return x.T if isinstance(x, np.ndarray) else x.T.tocsr()
+
+
+def patched_operand(operand, rows: np.ndarray, values: np.ndarray, out_rows: np.ndarray):
+    """A feature operand of `feature_operand` on the ascending ids `out_rows`,
+    with its rows at the ascending ids `rows` replaced by `values` cast to its
+    dtype, and the positions in `out_rows` of the replaced rows. The result
+    is of the operand's kind, scipy CSR or ndarray, whatever the density of
+    `values`; a replaced CSR row stores the nonzeros of its values, columns
+    ascending, as `feature_operand` stores a row of an array."""
+    at = np.flatnonzero(np.isin(out_rows, rows))
+    patch_rows = np.searchsorted(rows, out_rows[at])
+    if isinstance(operand, np.ndarray):
+        out = operand[out_rows]
+        out[at] = values[patch_rows]
+        return out, at
+    from scipy.sparse import vstack
+
+    # the patch is stacked below the operand's rows, and its rows read from there
+    source = out_rows.copy()
+    source[at] = operand.shape[0] + patch_rows
+    patch = _csr_features(values, values != 0, operand.dtype)
+    return vstack([operand, patch], format="csr")[source], at
 
 
 def _csr_features(x: np.ndarray, nonzero: np.ndarray, dtype):
@@ -221,7 +246,7 @@ class RowPlan:
 
 @dataclass
 class ForwardCache:
-    x: np.ndarray  # or the scipy CSR operand of `feature_operand`
+    x: np.ndarray | None  # or the scipy CSR operand of `feature_operand`; None if a1 was given
     plan: RowPlan
     a1: np.ndarray  # x @ w1
     h: np.ndarray  # post-ReLU, pre-dropout hidden
@@ -273,9 +298,10 @@ def dropout_mask(
 
 def gcn_forward(
     params: ModelParams,
-    x: np.ndarray,
+    x,
     prop: CsrAdjacency | RowPlan | None,
     drop_scale: np.ndarray | None = None,
+    a1: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Two-layer forward pass. With prop=None the propagation step is skipped
     (pure MLP over attributes); a CsrAdjacency P computes every row; a
@@ -283,12 +309,15 @@ def gcn_forward(
     from `dropout_mask`, cast to the weights' dtype, multiplies the hidden
     layer (train mode), one row per row layer 1 computes: the plan's
     `hidden_rows`, or every row; without one the pass is in eval mode.
+    `a1`, when given, is the layer-1 input x @ w1 as the caller computed it;
+    the pass then reads x not at all, and x may be None unless `gcn_backward`
+    takes the w1 gradient.
     Returns row-wise log-softmax of the output rows and the backward cache."""
     dtype = params.w1.dtype
-    x = x.astype(dtype, copy=False)
+    x = None if x is None else x.astype(dtype, copy=False)
     plan = prop if isinstance(prop, RowPlan) else RowPlan(layer1=prop, layer2=prop)
 
-    a1 = x @ params.w1
+    a1 = x @ params.w1 if a1 is None else a1
     s1 = spmm(plan.layer1, a1) if plan.layer1 is not None else a1
     h = gcn_hidden(s1, params.b1)
 
@@ -327,6 +356,7 @@ def gcn_backward(
     grad_log_probs: np.ndarray,
     grad_hidden: np.ndarray | None = None,
     x_t=None,
+    x_rows: np.ndarray | None = None,
 ) -> ParamGrads:
     """Exact analytic parameter gradients of the cached forward pass, for any
     P: each backward propagation multiplies by its forward operand's transpose.
@@ -335,12 +365,18 @@ def gcn_backward(
     post-ReLU pre-dropout hidden representation (the contrastive surface).
     `x_t`, when given, is the cached x's transpose as `feature_transpose`
     builds it, so a loop over one x builds it once; the gradient's bytes are
-    those of `cache.x.T`.
+    those of `cache.x.T`. `x_rows`, when given, are the rows of the cached x
+    outside which the layer-1 gradient is zero by construction, and x_t is
+    x's transpose on those rows: the w1 product skips the other rows, whose
+    terms are exact zeros, so a sparse x gives the same bytes.
     """
     p = cache.params
     dlogits, da2, ds1 = _backward_to_s1(cache, grad_log_probs, grad_hidden)
     layer1 = cache.plan.layer1
     da1 = spmm(layer1, ds1, transpose=True) if layer1 is not None else ds1
+    if x_rows is not None:
+        da1 = da1[x_rows]
+        x_t = cache.x[x_rows].T if x_t is None else x_t
     return ParamGrads(
         w1=(cache.x.T if x_t is None else x_t) @ da1,
         b1=ds1.sum(axis=0),
@@ -608,7 +644,10 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
 
     def param_grad_error(c_x, c_labels, c_mask, c_prop, c_params, scale=None, view=None):
         """The NLL of a pass; with `view` = (x', P', anchors, anchors') plus
-        InfoNCE against an eval-mode pass on x' and P', as in fine-tuning."""
+        InfoNCE against an eval-mode pass on x' and P', as in fine-tuning. A
+        view on the pass's own plan may add (patch_at, hidden_at): its layer-1
+        input is then the pass's a1 with x''s rows patch_at multiplied anew,
+        and its w1 gradient is taken on x''s rows hidden_at alone."""
 
         def objective(theta_vec):
             theta = vector_to_params(theta_vec, c_params)
@@ -616,11 +655,16 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
             loss, grad_lp = nll_loss(lp, c_labels, c_mask)
             if view is None:
                 return loss, gcn_backward(cache, grad_lp)
-            x_v, prop_v, anchors, anchors_v = view
-            _, cache_v = gcn_forward(theta, x_v, prop_v)
+            x_v, prop_v, anchors, anchors_v, *reuse = view
+            a1_v = x_rows = None
+            if reuse:
+                patch_at, x_rows = reuse
+                a1_v = cache.a1.copy()
+                a1_v[patch_at] = x_v[patch_at] @ theta.w1
+            _, cache_v = gcn_forward(theta, x_v, prop_v, a1=a1_v)
             nce, grad_h, grad_h_v = infonce_loss(cache.h, cache_v.h, anchors, 0.5, anchors_v)
             return loss + nce, gcn_backward(cache, grad_lp, grad_hidden=grad_h) + gcn_backward(
-                cache_v, np.zeros_like(lp), grad_hidden=grad_h_v
+                cache_v, np.zeros_like(lp), grad_hidden=grad_h_v, x_rows=x_rows
             )
 
         theta0 = params_to_vector(c_params)
@@ -660,6 +704,18 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     view = (x_aug, plan_aug, anchored[plan.hidden_rows], anchored[plan_aug.hidden_rows])
     report.errors["finetune/contrastive"] = param_grad_error(
         x_plan, labels_plan, every, plan, params, scale_r1, view
+    )
+    # a view on the main plan, as fine-tuning runs it: x differs on the
+    # anchors' rows, layer 1 reuses the pass's a1 elsewhere, and the w1
+    # product runs on R1 alone; a wrong row map in either gives a wrong gradient
+    patch_at = np.searchsorted(plan.input_rows, out_rows[:3])
+    x_view = x_plan.copy()
+    x_view[patch_at] = gen.standard_normal((3, x.shape[1]))
+    hidden_at = np.searchsorted(plan.input_rows, plan.hidden_rows)
+    anchors = anchored[plan.hidden_rows]
+    report.errors["finetune/contrastive_patched_view"] = param_grad_error(
+        x_plan, labels_plan, every, plan, params, scale_r1,
+        (x_view, plan, anchors, anchors, patch_at, hidden_at),
     )
     # square (N = d), so that a transposed feature operand keeps its shape and
     # shows as a wrong gradient; row 0 and column 1 of the CSR x are all zero

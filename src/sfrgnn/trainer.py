@@ -28,6 +28,12 @@ features are dense). Prediction runs the full pass.
 
 Dropout is drawn only for the rows layer 1 computes: R1, or T without
 propagation, so pretraining's stream does not depend on the edges either.
+
+A contrastive view is the graph's features plus a row patch: the rows it
+replaces and their values (InterNAA's float64 donor means, the zeroed rows
+of node dropping, every row of feature masking, none for edge removing).
+Fine-tuning swaps the patch into the graph's cached feature operand and
+recomputes, each epoch, only what the patch changes.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from .nn import (
     infonce_loss,
     init_params,
     nll_loss,
+    patched_operand,
     spmm_calls,
 )
 from .rng import RngState
@@ -143,7 +150,13 @@ class TrainedModel:
 
 @dataclass
 class AugmentedFeatures:
-    x_inter: np.ndarray
+    """A contrastive view: the graph's features with the rows at the
+    ascending ids `rows` replaced by `values` (|rows| x d: float64 donor
+    means, else in the features' dtype), the anchors' mask, and, for the
+    er / nd views, the edges it propagates over."""
+
+    rows: np.ndarray
+    values: np.ndarray
     replaced_mask: np.ndarray
     sample_log: dict[int, np.ndarray]
     adjacency_override: CsrAdjacency | None = None  # er / nd views propagate differently
@@ -181,11 +194,18 @@ def _supervised_loop(
     `RowPlan.closure` of the training rows, sliced once per call (the view
     gets its own when prop_aug is not prop). Each epoch's dropout scale is
     the next draw of one generator per call, for the plan's R1 rows only.
+
+    The view's operand is the graph's, with the view's row patch swapped in.
+    On the main plan its x @ w1 is the main pass's a1 with the patch rows
+    recomputed, and its w1 gradient is taken on its R1 rows alone: InfoNCE's
+    gradient enters at training rows, so the layer-1 gradient is exactly zero
+    on the other input rows. Both give the bytes of the full products.
     """
     dtype = cfg.dtype
     train_ids = np.flatnonzero(g.splits.train)
     plan = RowPlan.closure(prop, train_ids)
-    x = feature_operand(g.features, dtype, g.feature_operands)[plan.input_rows]
+    operand = feature_operand(g.features, dtype, g.feature_operands)
+    x = operand[plan.input_rows]
     x_t = feature_transpose(x)
     labels = g.labels[train_ids]
     every = np.ones(train_ids.shape[0], dtype=bool)
@@ -195,8 +215,10 @@ def _supervised_loop(
     if view is not None:
         aug, prop_aug, mask = view
         plan_aug = plan if prop_aug is prop else RowPlan.closure(prop_aug, train_ids)
-        x_aug = feature_operand(aug.x_inter, dtype)[plan_aug.input_rows]
-        x_aug_t = feature_transpose(x_aug)
+        x_aug, patch_at = patched_operand(operand, aug.rows, aug.values, plan_aug.input_rows)
+        x_patch = x_aug[patch_at]
+        hidden_at = np.searchsorted(plan_aug.input_rows, plan_aug.hidden_rows)
+        x_aug_t = feature_transpose(x_aug[hidden_at])
         anchors, anchors_aug = mask[plan.hidden_rows], mask[plan_aug.hidden_rows]
         zero_lp = np.zeros((train_ids.shape[0], g.num_classes), params.w1.dtype)
     drop_gen = rng.substream(f"{stage_name}-dropout").generator()
@@ -210,13 +232,17 @@ def _supervised_loop(
         if view is None:
             grads = gcn_backward(cache, grad_lp, x_t=x_t)
         else:
-            _, cache_aug = gcn_forward(params, x_aug, plan_aug)
+            a1_aug = None
+            if plan_aug is plan:
+                a1_aug = cache.a1.copy()
+                a1_aug[patch_at] = x_patch @ params.w1
+            _, cache_aug = gcn_forward(params, x_aug, plan_aug, a1=a1_aug)
             loss_c, grad_h, grad_h_aug = infonce_loss(
                 cache.h, cache_aug.h, anchors, cfg.temperature, anchors_aug
             )
             loss = loss + loss_c
             grads = gcn_backward(cache, grad_lp, grad_hidden=grad_h, x_t=x_t) + gcn_backward(
-                cache_aug, zero_lp, grad_hidden=grad_h_aug, x_t=x_aug_t
+                cache_aug, zero_lp, grad_hidden=grad_h_aug, x_t=x_aug_t, x_rows=hidden_at
             )
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay)
         stage.losses.append(_check_loss(loss, stage_name))
@@ -246,6 +272,10 @@ def internaa(g: Graph, rng: RngState, subsample_ratio: float = 1.0) -> Augmented
 
     Sampling is with replacement only when the donor pool is smaller than the
     request. The donor ids are logged per node so the mean is reconstructible.
+    The view is a row patch: the selected rows and their float64 means, the
+    bytes of `g.features[donors].mean(axis=0, dtype=np.float64)` (for d >= 2;
+    numpy sums a single column pairwise). Beyond the graph's cached feature
+    operand its peak stays under two |selected| x d float64 arrays.
     """
     return _donor_augmentation(g, rng, subsample_ratio, inter_class=True)
 
@@ -257,7 +287,8 @@ def _donor_augmentation(
         raise ValidationError("subsample_ratio must lie in (0, 1]")
     train_ids = np.flatnonzero(g.splits.train)
     train_labels = g.labels[train_ids]
-    if inter_class and np.unique(train_labels).shape[0] < 2:
+    classes = np.unique(train_labels)
+    if inter_class and classes.shape[0] < 2:
         raise AugmentationError("inter-class augmentation needs >= 2 classes in the training set")
     gen = rng.substream("internaa").generator()
     if subsample_ratio < 1.0:
@@ -266,31 +297,51 @@ def _donor_augmentation(
     else:
         selected = train_ids
     degrees = g.adjacency.degrees()
-    # float64 whatever the feature dtype, so donor means are the same for
-    # float32 sidecar features as for the float64 values of features.tsv
-    x_inter = g.features.astype(np.float64)
-    replaced = np.zeros(g.num_nodes, dtype=bool)
+    pools = {c: train_ids[train_labels != c] if inter_class else train_ids for c in classes}
     sample_log: dict[int, np.ndarray] = {}
     for v in selected:
-        pool = train_ids[train_labels != g.labels[v]] if inter_class else train_ids
+        pool = pools[g.labels[v]]
         num = int(max(degrees[v], 1))
-        donors = gen.choice(pool, size=num, replace=pool.shape[0] < num)
-        x_inter[v] = g.features[donors].mean(axis=0, dtype=np.float64)
-        sample_log[int(v)] = donors
-        replaced[v] = True
-    return AugmentedFeatures(x_inter=x_inter, replaced_mask=replaced, sample_log=sample_log)
+        sample_log[int(v)] = gen.choice(pool, size=num, replace=pool.shape[0] < num)
+    replaced = np.zeros(g.num_nodes, dtype=bool)
+    replaced[selected] = True
+    values = _donor_means(g, list(sample_log.values()))
+    return AugmentedFeatures(selected, values, replaced, sample_log)
+
+
+def _donor_means(g: Graph, donor_sets: list[np.ndarray]) -> np.ndarray:
+    """The float64 mean of g's feature rows at each donor set, from the
+    graph's cached operand in its own dtype: one weighted bincount adds the
+    donors' stored entries in donor order, as numpy's mean over axis 0 adds
+    their rows, then divides by the donor count."""
+    operand = feature_operand(g.features, g.features.dtype, g.feature_operands)
+    d = g.features.shape[1]
+    counts = np.array([donors.shape[0] for donors in donor_sets])
+    rows = operand[np.concatenate(donor_sets)]
+    if isinstance(rows, np.ndarray):  # a dense operand stores every entry
+        per_row, cols = np.full(rows.shape[0], d), np.tile(np.arange(d), rows.shape[0])
+        weights = rows.ravel()
+    else:
+        per_row, cols, weights = np.diff(rows.indptr), rows.indices, rows.data
+    owner = np.repeat(np.repeat(np.arange(counts.shape[0]), counts), per_row)
+    sums = np.bincount(owner * d + cols, weights, counts.shape[0] * d).reshape(-1, d)
+    sums /= counts[:, None]
+    return sums
 
 
 def _ablation_view(g: Graph, rng: RngState, kind: str) -> AugmentedFeatures:
-    """Generic-augmentation second views: node dropping, edge removing,
-    feature masking (all at ABLATION_RATE). Anchors are the training nodes."""
+    """Generic-augmentation second views: node dropping (its rows zeroed),
+    edge removing (no rows) and feature masking (every row), all at
+    ABLATION_RATE. Anchors are the training nodes."""
     gen = rng.substream(f"aug-{kind}").generator()
-    features = g.features
+    d = g.features.shape[1]
+    rows = np.empty(0, dtype=np.int64)
+    values = np.zeros((0, d), g.features.dtype)
     override = None
     if kind == "nd":
         dropped = gen.random(g.num_nodes) < ABLATION_RATE
-        features = g.features.copy()
-        features[dropped] = 0.0
+        rows = np.flatnonzero(dropped)
+        values = np.zeros((rows.shape[0], d), g.features.dtype)
         pairs = g.adjacency.edge_pairs()
         keep = ~(dropped[pairs[:, 0]] | dropped[pairs[:, 1]])
         override = csr_from_edge_pairs(g.num_nodes, pairs[keep])
@@ -299,17 +350,13 @@ def _ablation_view(g: Graph, rng: RngState, kind: str) -> AugmentedFeatures:
         keep = gen.random(pairs.shape[0]) >= ABLATION_RATE
         override = csr_from_edge_pairs(g.num_nodes, pairs[keep])
     elif kind == "fm":
-        masked = gen.random(g.features.shape[1]) < ABLATION_RATE
-        features = g.features.copy()
-        features[:, masked] = 0.0
+        masked = gen.random(d) < ABLATION_RATE
+        rows = np.arange(g.num_nodes)
+        values = g.features.copy()
+        values[:, masked] = 0.0
     else:
         raise ValidationError(f"unknown ablation view {kind!r}")
-    return AugmentedFeatures(
-        x_inter=features,
-        replaced_mask=g.splits.train.copy(),
-        sample_log={},
-        adjacency_override=override,
-    )
+    return AugmentedFeatures(rows, values, g.splits.train.copy(), {}, adjacency_override=override)
 
 
 def finetune(

@@ -38,6 +38,14 @@ def sparse_binary_features(n, d, seed):
     return x
 
 
+def dense_view(g, aug):
+    """The contrastive view `aug` as one float64 N x d array: the graph's
+    features with the view's row patch written in."""
+    x = g.features.astype(np.float64)
+    x[aug.rows] = aug.values
+    return x
+
+
 def path3_graph(labels=(0, 0, 1)):
     """The 3-node path 0-1-2."""
     return build_graph(3, [(0, 1), (1, 2)], labels, train=[0, 2])

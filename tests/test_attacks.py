@@ -448,9 +448,9 @@ def test_gradient_attack_stops_only_on_a_fresh_shortlist(monkeypatch):
 
 def full_recompute_loss(adj, head, a1, g):
     """The exact surrogate loss the local evaluator replaces: rebuild and
-    re-normalize the whole graph, then run a full forward pass."""
+    re-normalize the whole graph, then run a full forward pass from a1."""
     adj = csr_from_edge_pairs(adj.dim, adj.edge_pairs())
-    log_probs, _ = gcn_forward(head, a1, normalize_adjacency(adj))
+    log_probs, _ = gcn_forward(head, None, normalize_adjacency(adj), a1=a1)
     return nll_loss(log_probs, g.labels, g.splits.train)[0]
 
 
@@ -467,12 +467,12 @@ def toggled_adjacency(adj, u, v):
 
 
 def random_head(g, seed, hidden=8):
-    """A float64 surrogate behind an identity first layer, as the attack
-    builds it; nonzero biases so the ReLU cuts some rows."""
+    """A float64 surrogate and its layer-1 input a1 = x @ w1, as the attack
+    builds them; nonzero biases so the ReLU cuts some rows."""
     params = init_params(g.features.shape[1], hidden, g.num_classes, RngState(seed), np.float64)
     gen = np.random.default_rng(seed)
     a1 = g.features.astype(np.float64) @ params.w1
-    head = ModelParams(np.eye(hidden), gen.normal(0, 0.3, hidden), params.w2,
+    head = ModelParams(params.w1, gen.normal(0, 0.3, hidden), params.w2,
                        gen.normal(0, 0.3, g.num_classes))
     return head, a1
 
@@ -633,11 +633,11 @@ def test_attack_base_and_candidate_losses_equal_full_recompute(monkeypatch):
         prefix = PerturbationPlan(plan.flips[:step], budget=step, ptb_ratio=0.0)
         current = apply_perturbation(g, prefix).adjacency
         assert np.array_equal(exact.adj.col_indices, current.col_indices)
-        assert exact.loss == full_recompute_loss(current, exact.head, exact.cache.x, g)
+        assert exact.loss == full_recompute_loss(current, exact.params, exact.cache.a1, g)
         assert len(exact.evaluated) == attacks_mod.GRAD_SHORTLIST
         for u, v, loss in exact.evaluated:
             toggled = toggled_adjacency(current, u, v)
-            assert loss == full_recompute_loss(toggled, exact.head, exact.cache.x, g), (step, u, v)
+            assert loss == full_recompute_loss(toggled, exact.params, exact.cache.a1, g), (step, u, v)
 
 
 def test_gradient_attack_trace_matches_exact_deltas(monkeypatch):
@@ -763,7 +763,7 @@ def test_ranking_memory_is_not_quadratic():
     train_mask = gen.random(n) < 0.1
     params = init_params(16, 16, classes, RngState(50), np.float64)
     a1 = gen.standard_normal((n, 16)) @ params.w1
-    head = ModelParams(np.eye(16), gen.normal(0, 0.3, 16), params.w2, params.b2)
+    head = ModelParams(params.w1, gen.normal(0, 0.3, 16), params.w2, params.b2)
     exact = _ExactFlipLoss(adj, head, a1, labels, train_mask)
     tracemalloc.start()
     try:

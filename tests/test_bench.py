@@ -4,7 +4,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sfrgnn.attacks import dice_attack, save_plan
+from sfrgnn import bench
+from sfrgnn.attacks import apply_perturbation, dice_attack, load_plan, save_plan
 from sfrgnn.bench import (
     ExperimentSpec,
     bench_timing,
@@ -149,6 +150,33 @@ def test_external_plan_attack(sbm_dir, tmp_path):
     assert report.spec["plan_path"] == str(plan_path)
     # trained on the perturbed graph, so the two eval adjacencies disagree
     assert any(t.clean_acc != t.attacked_acc for t in report.trials)
+
+
+def test_external_plan_is_read_and_applied_once(sbm_dir, tmp_path, monkeypatch):
+    g = load_graph(sbm_dir)
+    plan_path = tmp_path / "plan.tsv"
+    save_plan(dice_attack(g, 0.2, RngState(10)), plan_path)
+    spec = ExperimentSpec(dataset=str(sbm_dir), variants=["gcn", "sfr"], attack="external",
+                          plan_path=str(plan_path), repeats=10, base_seed=12,
+                          config=TrainConfig(pretrain_epochs=5, finetune_epochs=2))
+    calls = []
+    for name in ("load_plan", "apply_perturbation"):
+        real = getattr(bench, name)
+        monkeypatch.setattr(
+            bench, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+        )
+    trials = run_experiment(spec).trials
+    assert sorted(calls) == ["apply_perturbation", "load_plan"]
+    # the trials of every repeat reading and applying the plan on its own
+    clean = load_graph(sbm_dir, split_seed=spec.base_seed)
+    want = []
+    for repeat in range(spec.repeats):
+        g_trial = apply_perturbation(clean, load_plan(plan_path))
+        for variant in spec.variants:
+            want.append(bench._run_trial(g_trial, clean, True, variant, repeat, spec))
+    assert [without_epoch_ms(asdict(t)) for t in trials] == [
+        without_epoch_ms(asdict(t)) for t in want
+    ]
 
 
 def test_seed_derivation_stable_under_repeat_count():

@@ -454,6 +454,7 @@ def test_check_gradients_passes():
     assert report.passed
     assert "gcn_backward_wrt_prop" in report.errors
     assert "gcn_backward/sparse_features" in report.errors
+    assert "finetune/contrastive_patched_view" in report.errors
     assert max(report.errors.values()) < 1e-5
 
 

@@ -31,7 +31,7 @@ from sfrgnn.rng import RngState
 from sfrgnn.synth import sbm_graph
 from sfrgnn.trainer import TrainConfig, VARIANTS, train
 
-from conftest import sparse_binary_features
+from conftest import dense_view, sparse_binary_features
 
 TOL = {"f64": 1e-12, "f32": 1e-5}
 
@@ -102,7 +102,8 @@ def reference_train(g, cfg, variant, rng):
     if aug is not None:
         override = aug.adjacency_override
         prop_aug = prop if override is None else normalize_adjacency(override)
-        view = (feature_operand(aug.x_inter, dtype), prop_aug, g.splits.train & aug.replaced_mask)
+        x_aug = feature_operand(dense_view(g, aug), dtype)
+        view = (x_aug, prop_aug, g.splits.train & aug.replaced_mask)
     return loop(g, prop, cfg.finetune_epochs, "finetune", params.copy(), view), losses
 
 
@@ -257,13 +258,17 @@ def test_operand_kind_follows_the_whole_feature_array(monkeypatch, inside, extra
     x = np.zeros((n, d))
     x.ravel()[(rows[:, None] * d + np.arange(d)).ravel()[:count]] = 1.0
     g.features = x
-    aug = trainer.AugmentedFeatures(x.copy(), g.splits.train.copy(), {})
+    # a view whose patch alone would cross the limit the other way: ones on
+    # the training rows, or zeros on every nonzero row; it keeps x's kind
+    patch = np.flatnonzero(g.splits.train) if inside else rows
+    values = np.full((patch.shape[0], d), float(inside))
+    aug = trainer.AugmentedFeatures(patch, values, g.splits.train.copy(), {})
     kinds = []
     real = trainer.gcn_forward
 
-    def spy(params, x_op, *args):
+    def spy(params, x_op, *args, **kwargs):
         kinds.append(type(x_op))
-        return real(params, x_op, *args)
+        return real(params, x_op, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "gcn_forward", spy)
     params_p, _ = trainer.pretrain(g, TrainConfig(pretrain_epochs=1), RngState(2))
@@ -271,6 +276,35 @@ def test_operand_kind_follows_the_whole_feature_array(monkeypatch, inside, extra
     assert len(kinds) == 3  # pretraining, then both views
     assert set(kinds) == {type(feature_operand(x, np.float32))}
     assert (kinds[0] is np.ndarray) == bool(extra)
+
+
+@pytest.mark.parametrize("sparse", [True, False], ids=["csr", "dense"])
+@pytest.mark.parametrize("variant", ["sfr", "sfr_ran", "sfr_nd", "sfr_er", "sfr_fm"])
+def test_view_operand_is_the_dense_views_operand(variant, sparse):
+    # the row patch swapped into the graph's cached operand, against the
+    # dense view converted on its own and sliced to the view plan's input rows
+    g = sparse_sbm(seed=25)
+    if sparse:
+        scale = np.random.default_rng(25).uniform(0.5, 2.0, (g.num_nodes, 90))
+        g.features = (sparse_binary_features(g.num_nodes, 90, seed=25) * scale).astype(np.float32)
+    if variant in ("sfr", "sfr_ran"):  # half the training rows replaced
+        aug = trainer._donor_augmentation(g, RngState(6), 0.5, variant == "sfr")
+    else:
+        aug = trainer._ablation_view(g, RngState(6), variant.split("_", 1)[1])
+    override = aug.adjacency_override
+    prop = normalize_adjacency(g.adjacency if override is None else override)
+    rows = RowPlan.closure(prop, np.flatnonzero(g.splits.train)).input_rows
+    for dtype in (np.float32, np.float64):
+        operand = feature_operand(g.features, dtype, g.feature_operands)
+        got, at = nn.patched_operand(operand, aug.rows, aug.values, rows)
+        want = feature_operand(dense_view(g, aug), dtype)[rows]
+        np.testing.assert_array_equal(rows[at], np.intersect1d(aug.rows, rows))
+        assert type(got) is type(want) is type(operand) and got.dtype == want.dtype == dtype
+        if sparse:
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+        else:
+            np.testing.assert_array_equal(got, want)
 
 
 def spy_dropout(monkeypatch):
@@ -327,9 +361,9 @@ def test_contrastive_view_runs_without_dropout(monkeypatch, variant):
     passes = []
     real = trainer.gcn_forward
 
-    def spy(params, x, plan, drop_scale=None):
+    def spy(params, x, plan, drop_scale=None, a1=None):
         passes.append((plan.hidden_rows, drop_scale))
-        return real(params, x, plan, drop_scale)
+        return real(params, x, plan, drop_scale, a1)
 
     monkeypatch.setattr(trainer, "gcn_forward", spy)
     cfg = TrainConfig(pretrain_epochs=2, finetune_epochs=3)

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,6 +12,7 @@ from sfrgnn.rng import RngState
 from sfrgnn.synth import blob_features, sbm_graph
 from sfrgnn.trainer import (
     TrainConfig,
+    _donor_augmentation,
     finetune,
     internaa,
     jaccard_prune,
@@ -19,7 +21,7 @@ from sfrgnn.trainer import (
     train,
 )
 
-from conftest import build_graph, path3_graph, sparse_binary_features
+from conftest import build_graph, dense_view, path3_graph, sparse_binary_features
 
 
 def params_equal(a, b):
@@ -122,15 +124,57 @@ def test_internaa_contract_on_random_graphs():
         train_ids = np.flatnonzero(g.splits.train)
         assert set(np.flatnonzero(aug.replaced_mask)) == set(train_ids)
         degrees = g.adjacency.degrees()
+        x_inter = dense_view(g, aug)
         for v, donors in aug.sample_log.items():
             assert donors.shape[0] == max(int(degrees[v]), 1)
             assert np.all(g.labels[donors] != g.labels[v])
             assert np.all(g.splits.train[donors])
             np.testing.assert_allclose(
-                aug.x_inter[v], g.features[donors].mean(axis=0), atol=1e-12, rtol=0
+                x_inter[v], g.features[donors].mean(axis=0), atol=1e-12, rtol=0
             )
         untouched = ~aug.replaced_mask
-        np.testing.assert_array_equal(aug.x_inter[untouched], g.features[untouched])
+        np.testing.assert_array_equal(x_inter[untouched], g.features[untouched])
+
+
+@pytest.mark.parametrize("features", ["sparse_f32", "dense"])
+@pytest.mark.parametrize("inter_class", [True, False])
+def test_internaa_patch_is_the_donor_mean_bit_for_bit(features, inter_class):
+    # four training nodes per class against degrees near 12, so most pools
+    # are smaller than the request and repeat donors
+    g = sbm_graph([20, 20], p_in=0.6, p_out=0.05, seed=9, feature_dim=40,
+                  train_ratio=0.2, val_ratio=0.2)
+    gen = np.random.default_rng(9)
+    if features == "sparse_f32":  # 4% dense and of spread magnitudes, so that
+        # a column three donors share sums to other bits in another order
+        scale = gen.standard_normal((40, 300)) * 10.0 ** gen.uniform(-3, 3, (40, 300))
+        g.features = ((gen.random((40, 300)) < 0.04) * scale).astype(np.float32)
+    assert isinstance(feature_operand(g.features, g.features.dtype), np.ndarray) == (
+        features == "dense"
+    )
+    aug = _donor_augmentation(g, RngState(3), 1.0, inter_class)
+    np.testing.assert_array_equal(aug.rows, list(aug.sample_log))
+    assert aug.values.dtype == np.float64
+    assert any(np.unique(d).shape[0] < d.shape[0] for d in aug.sample_log.values())
+    for row, donors in zip(aug.values, aug.sample_log.values()):
+        assert row.tobytes() == g.features[donors].mean(axis=0, dtype=np.float64).tobytes()
+
+
+def test_internaa_peak_memory_is_bounded_by_its_patch():
+    """At Cora's shape (2,709 nodes, 1,433 features at about 1.3% density)
+    InterNAA's traced peak stays under two |selected| x d float64 arrays,
+    once the graph's feature operand is built: 3.8 MB against 6.2 MB. The
+    N x d float64 copy of the features it used to write traced 31.2 MB."""
+    g = sbm_graph([387] * 7, p_in=3.2 / 386, p_out=0.8 / 2321, seed=52)
+    g.features = (np.random.default_rng(52).random((g.num_nodes, 1433)) < 0.013) * 1.0
+    feature_operand(g.features, g.features.dtype, g.feature_operands)
+    tracemalloc.start()
+    try:
+        aug = internaa(g, RngState(52))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * aug.rows.shape[0] * g.features.shape[1] * 8
+    assert aug.rows.shape[0] == g.splits.train.sum() and peak < bound, (peak, bound)
 
 
 def test_internaa_identical_donor_features_give_that_feature():
@@ -138,7 +182,7 @@ def test_internaa_identical_donor_features_give_that_feature():
     feats[1:] = [1.0, 2.0, 3.0]  # every possible donor row is identical
     g = build_graph(6, [(0, 1), (0, 2)], [0, 1, 1, 1, 1, 1], train=range(6), features=feats)
     aug = internaa(g, RngState(2))
-    np.testing.assert_array_equal(aug.x_inter[0], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(dense_view(g, aug)[0], [1.0, 2.0, 3.0])
 
 
 def test_internaa_degree_zero_samples_one_donor():

@@ -31,7 +31,7 @@ from .errors import SfrError, ValidationError
 from .graph import Graph, load_graph
 from .nn import feature_operand
 from .rng import RngState, derive_trial_seed
-from .trainer import VARIANTS, TrainConfig, TrainingHistory, predict, train
+from .trainer import VARIANTS, TrainConfig, TrainingHistory, check_count, predict, train
 
 ATTACKS = ("none", *ATTACK_METHODS, "external")
 WARMUP_EPOCHS = 5  # leading epochs of every stage that `bench_timing` drops
@@ -57,8 +57,7 @@ class ExperimentSpec:
     config: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
-        if self.repeats < 1:
-            raise ValidationError("repeats must be >= 1")
+        check_count(self.repeats, "repeats", 1)
         if self.attack not in ATTACKS:
             raise ValidationError(f"attack must be one of {ATTACKS}")
         # a flag the run would not read is refused, not written into the report
@@ -135,14 +134,18 @@ def _trial_threads() -> int:
 
 
 def environment_metadata(cfg: TrainConfig, g: Graph) -> dict:
-    """Versions, settings, and the feature operand kind (`csr` or `dense`,
-    see `nn.feature_operand`) and nonzero share of the graph trained on."""
+    """Versions, settings, usable CPUs, and the feature operand kind (`csr`
+    or `dense`, see `nn.feature_operand`) and nonzero share of the graph
+    trained on."""
     import scipy  # here, not at the top: importing sfrgnn does not load scipy
 
     operand = feature_operand(g.features, cfg.dtype, g.feature_operands)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
+        "cpu_count": cpus,
         "feature_density": float(np.count_nonzero(g.features) / g.features.size),
         "feature_operand": "dense" if isinstance(operand, np.ndarray) else "csr",
+        "numpy": np.__version__,
         "precision": cfg.resolved_precision(),
         "scipy": scipy.__version__,
         "threads": _trial_threads(),
@@ -333,8 +336,7 @@ def paired_effect_probe(
     accuracy drop of a GCN trained with those attributes against the drop with
     degree-preservingly shuffled attributes (each relative to its own clean
     baseline)."""
-    if repeats < 1:
-        raise ValidationError("repeats must be >= 1")
+    check_count(repeats, "repeats", 1)
     cfg = cfg or TrainConfig()
     g = load_graph(dataset, split_seed=seed)
     base = RngState(seed)
@@ -395,8 +397,7 @@ def bench_timing(
     """Median and IQR ms/epoch per variant and stage, measured after dropping
     `WARMUP_EPOCHS` leading epochs of every stage. Trials run sequentially so
     measurements never overlap."""
-    if repeats < 1:
-        raise ValidationError("repeats must be >= 1")
+    check_count(repeats, "repeats", 1)
     _validate_variants(variants)
     cfg = cfg or TrainConfig()
     g = load_graph(dataset, split_seed=base_seed)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .graph import CsrAdjacency
+from .graph import CsrAdjacency, csr_from_keys
 from .rng import RngState
 
 NORM_EPS = 1e-12  # cosine-similarity zero-norm clamp
@@ -310,8 +310,8 @@ def gcn_forward(
     layer (train mode), one row per row layer 1 computes: the plan's
     `hidden_rows`, or every row; without one the pass is in eval mode.
     `a1`, when given, is the layer-1 input x @ w1 as the caller computed it;
-    the pass then reads x not at all, and x may be None unless `gcn_backward`
-    takes the w1 gradient.
+    the pass then reads x not at all and x may be None, as for fine-tuning's
+    contrastive view, whose `gcn_backward` then takes x's transpose as `x_t`.
     Returns row-wise log-softmax of the output rows and the backward cache."""
     dtype = params.w1.dtype
     x = None if x is None else x.astype(dtype, copy=False)
@@ -363,20 +363,18 @@ def gcn_backward(
 
     `grad_hidden`, when given, is an extra upstream gradient injected at the
     post-ReLU pre-dropout hidden representation (the contrastive surface).
-    `x_t`, when given, is the cached x's transpose as `feature_transpose`
-    builds it, so a loop over one x builds it once; the gradient's bytes are
-    those of `cache.x.T`. `x_rows`, when given, are the rows of the cached x
-    outside which the layer-1 gradient is zero by construction, and x_t is
-    x's transpose on those rows: the w1 product skips the other rows, whose
-    terms are exact zeros, so a sparse x gives the same bytes.
+    `x_t`, when given, is the pass's x transposed as `feature_transpose`
+    builds it (needed when the pass took `a1` and no x), so a loop over one
+    x builds it once, with the bytes of `x.T`. `x_rows`, when given, are the
+    rows of x outside which the layer-1 gradient is zero by construction, and
+    x_t is x's transpose on those rows: the w1 product skips the other rows,
+    whose terms are exact zeros, so a sparse x gives the same bytes.
     """
     p = cache.params
     dlogits, da2, ds1 = _backward_to_s1(cache, grad_log_probs, grad_hidden)
     layer1 = cache.plan.layer1
     da1 = spmm(layer1, ds1, transpose=True) if layer1 is not None else ds1
-    if x_rows is not None:
-        da1 = da1[x_rows]
-        x_t = cache.x[x_rows].T if x_t is None else x_t
+    da1 = da1 if x_rows is None else da1[x_rows]
     return ParamGrads(
         w1=(cache.x.T if x_t is None else x_t) @ da1,
         b1=ds1.sum(axis=0),
@@ -433,20 +431,14 @@ def _through_norm(draw: np.ndarray, unit: np.ndarray, norms: np.ndarray, clamp: 
 
 
 def infonce_loss(
-    z: np.ndarray,
-    z_aug: np.ndarray,
-    mask: np.ndarray,
-    temperature: float,
-    mask_aug: np.ndarray | None = None,
+    z: np.ndarray, z_aug: np.ndarray, mask: np.ndarray, temperature: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Masked InfoNCE with cosine similarity.
 
-    Anchors are the masked rows of z, positives the same rows of z_aug,
-    negatives all other masked rows of z_aug. `mask_aug`, when z_aug's rows
-    are other nodes than z's, selects its rows instead: the k-th selected row
-    of each is the same node. Analytic gradients flow to both inputs; rows
-    outside the mask get zero gradient. Zero-norm rows are clamped at
-    NORM_EPS before division.
+    z and z_aug hold the same nodes' rows. Anchors are the masked rows of z,
+    positives the same rows of z_aug, negatives all other masked rows of
+    z_aug. Analytic gradients flow to both inputs; rows outside the mask get
+    zero gradient. Zero-norm rows are clamped at NORM_EPS before division.
 
     Computes in the inputs' dtype and never forms the T x T similarities:
     the anchors are swept in blocks of max(1, INFONCE_BLOCK_ELEMENTS // T)
@@ -455,18 +447,16 @@ def infonce_loss(
     """
     if not (np.isfinite(temperature) and temperature > 0.0):
         raise ValidationError("temperature must be finite and > 0")
-    mask_aug = mask if mask_aug is None else mask_aug
-    idx, idx_aug = np.flatnonzero(mask), np.flatnonzero(mask_aug)
-    if (z.shape[1:] != z_aug.shape[1:] or idx.shape != idx_aug.shape
-            or mask.shape[0] != z.shape[0] or mask_aug.shape[0] != z_aug.shape[0]):
-        raise ValidationError("z, z_aug and their masks must have matching shapes")
+    if z.shape != z_aug.shape or mask.shape != z.shape[:1]:
+        raise ValidationError("z, z_aug and mask must have matching shapes")
+    idx = np.flatnonzero(mask)
     t = idx.shape[0]
     if t == 0:
         raise ValidationError("infonce_loss over an empty mask")
 
     dtype = np.result_type(z.dtype, z_aug.dtype, np.float32)
     u, u_norm, u_clamp = _normalize_rows(z[idx].astype(dtype, copy=False))
-    v, v_norm, v_clamp = _normalize_rows(z_aug[idx_aug].astype(dtype, copy=False))
+    v, v_norm, v_clamp = _normalize_rows(z_aug[idx].astype(dtype, copy=False))
 
     rows = max(1, INFONCE_BLOCK_ELEMENTS // t)
     sims_buf = np.empty((min(rows, t), t), dtype)
@@ -494,7 +484,7 @@ def infonce_loss(
     grad_z = np.zeros(z.shape, dtype=z.dtype)
     grad_z_aug = np.zeros(z_aug.shape, dtype=z.dtype)
     grad_z[idx] = _through_norm(du, u, u_norm, u_clamp)
-    grad_z_aug[idx_aug] = _through_norm(dv, v, v_norm, v_clamp)
+    grad_z_aug[idx] = _through_norm(dv, v, v_norm, v_clamp)
     return -float(diag.mean()), grad_z, grad_z_aug
 
 
@@ -627,8 +617,6 @@ def _non_symmetric_prop(gen: np.random.Generator, n: int, density: float) -> Csr
     """An n x n propagation matrix: the diagonal and each other entry with
     probability `density`, values uniform in [0.1, 1), so neither pattern nor
     values are symmetric."""
-    from .graph import csr_from_keys
-
     pattern = gen.random((n, n)) < density
     np.fill_diagonal(pattern, True)
     keys = np.flatnonzero(pattern)  # i * n + j, ascending
@@ -643,11 +631,11 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     x, labels, mask, prop, params = _random_instance(rng)
 
     def param_grad_error(c_x, c_labels, c_mask, c_prop, c_params, scale=None, view=None):
-        """The NLL of a pass; with `view` = (x', P', anchors, anchors') plus
-        InfoNCE against an eval-mode pass on x' and P', as in fine-tuning. A
-        view on the pass's own plan may add (patch_at, hidden_at): its layer-1
-        input is then the pass's a1 with x''s rows patch_at multiplied anew,
-        and its w1 gradient is taken on x''s rows hidden_at alone."""
+        """The NLL of a pass; with `view` = (x', plan', anchors, patch_at,
+        hidden_at) plus InfoNCE against an eval-mode pass on plan', whose rows
+        are the pass's, as in fine-tuning: its layer-1 input is the pass's a1
+        with x''s rows patch_at multiplied anew, and its w1 gradient is taken
+        on x''s rows hidden_at alone."""
 
         def objective(theta_vec):
             theta = vector_to_params(theta_vec, c_params)
@@ -655,16 +643,14 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
             loss, grad_lp = nll_loss(lp, c_labels, c_mask)
             if view is None:
                 return loss, gcn_backward(cache, grad_lp)
-            x_v, prop_v, anchors, anchors_v, *reuse = view
-            a1_v = x_rows = None
-            if reuse:
-                patch_at, x_rows = reuse
-                a1_v = cache.a1.copy()
-                a1_v[patch_at] = x_v[patch_at] @ theta.w1
-            _, cache_v = gcn_forward(theta, x_v, prop_v, a1=a1_v)
-            nce, grad_h, grad_h_v = infonce_loss(cache.h, cache_v.h, anchors, 0.5, anchors_v)
+            x_v, plan_v, anchors, patch_at, x_rows = view
+            a1_v = cache.a1.copy()
+            a1_v[patch_at] = x_v[patch_at] @ theta.w1
+            _, cache_v = gcn_forward(theta, None, plan_v, a1=a1_v)
+            nce, grad_h, grad_h_v = infonce_loss(cache.h, cache_v.h, anchors, 0.5)
             return loss + nce, gcn_backward(cache, grad_lp, grad_hidden=grad_h) + gcn_backward(
-                cache_v, np.zeros_like(lp), grad_hidden=grad_h_v, x_rows=x_rows
+                cache_v, np.zeros_like(lp), grad_hidden=grad_h_v,
+                x_t=x_v[x_rows].T, x_rows=x_rows,
             )
 
         theta0 = params_to_vector(c_params)
@@ -688,7 +674,8 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     # loss on the output rows T, the dropout scale on R1 only
     n_plan = 24
     out_rows = np.sort(gen.permutation(n_plan)[:5])
-    plan = RowPlan.closure(_non_symmetric_prop(gen, n_plan, 0.08), out_rows)
+    p_plan = _non_symmetric_prop(gen, n_plan, 0.08)
+    plan = RowPlan.closure(p_plan, out_rows)
     x_plan = gen.standard_normal((n_plan, x.shape[1]))[plan.input_rows]
     labels_plan = gen.integers(0, params.w2.shape[1], size=out_rows.shape[0])
     every = np.ones(out_rows.shape[0], dtype=bool)
@@ -696,26 +683,30 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     report.errors["gcn_backward/row_plan_dropout"] = param_grad_error(
         x_plan, labels_plan, every, plan, params, scale_r1
     )
-    # that pass plus InfoNCE on three output rows against a view on a second
-    # P, whose gradient reaches the train-mode pass before its dropout scale
-    plan_aug = RowPlan.closure(_non_symmetric_prop(gen, n_plan, 0.08), out_rows)
-    x_aug = gen.standard_normal((n_plan, x.shape[1]))[plan_aug.input_rows]
-    anchored = np.isin(np.arange(n_plan), out_rows[:3])
-    view = (x_aug, plan_aug, anchored[plan.hidden_rows], anchored[plan_aug.hidden_rows])
-    report.errors["finetune/contrastive"] = param_grad_error(
-        x_plan, labels_plan, every, plan, params, scale_r1, view
+    # that pass plus InfoNCE on three output rows against views on its rows,
+    # whose gradient reaches the train-mode pass before its dropout scale. An
+    # edge-removing view propagates over P's diagonal and about half of its
+    # other entries, with values of its own, sliced to the pass's R1 and R2
+    r1, r2 = plan.hidden_rows, plan.input_rows
+    keys = p_plan.entry_rows() * n_plan + p_plan.col_indices
+    keys = keys[(gen.random(keys.shape[0]) < 0.5) | (keys % (n_plan + 1) == 0)]
+    p_er = csr_from_keys(n_plan, keys, values=gen.uniform(0.1, 1.0, keys.shape[0]))
+    plan_er = RowPlan(r1, r2, p_er.block(r1, r2), p_er.block(out_rows, r1))
+    anchors = np.isin(r1, out_rows[:3])
+    hidden_at = np.searchsorted(r2, r1)
+    report.errors["finetune/contrastive_edge_removing"] = param_grad_error(
+        x_plan, labels_plan, every, plan, params, scale_r1,
+        (x_plan, plan_er, anchors, np.empty(0, np.int64), hidden_at),
     )
-    # a view on the main plan, as fine-tuning runs it: x differs on the
-    # anchors' rows, layer 1 reuses the pass's a1 elsewhere, and the w1
-    # product runs on R1 alone; a wrong row map in either gives a wrong gradient
-    patch_at = np.searchsorted(plan.input_rows, out_rows[:3])
+    # a view on P with x new on the anchors' rows: layer 1 reuses the pass's
+    # a1 elsewhere, and the w1 product runs on R1 alone; a wrong row map in
+    # either gives a wrong gradient
+    patch_at = np.searchsorted(r2, out_rows[:3])
     x_view = x_plan.copy()
     x_view[patch_at] = gen.standard_normal((3, x.shape[1]))
-    hidden_at = np.searchsorted(plan.input_rows, plan.hidden_rows)
-    anchors = anchored[plan.hidden_rows]
     report.errors["finetune/contrastive_patched_view"] = param_grad_error(
         x_plan, labels_plan, every, plan, params, scale_r1,
-        (x_view, plan, anchors, anchors, patch_at, hidden_at),
+        (x_view, plan, anchors, patch_at, hidden_at),
     )
     # square (N = d), so that a transposed feature operand keeps its shape and
     # shows as a wrong gradient; row 0 and column 1 of the CSR x are all zero

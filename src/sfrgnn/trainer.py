@@ -33,7 +33,8 @@ A contrastive view is the graph's features plus a row patch: the rows it
 replaces and their values (InterNAA's float64 donor means, the zeroed rows
 of node dropping, every row of feature masking, none for edge removing).
 Fine-tuning swaps the patch into the graph's cached feature operand and
-recomputes, each epoch, only what the patch changes.
+recomputes, each epoch, only what the patch changes, on the supervised
+pass's rows.
 """
 
 from __future__ import annotations
@@ -81,6 +82,15 @@ ABLATION_RATE = 0.2  # corruption rate for the nd / er / fm contrastive views
 JACCARD_THRESHOLD = 0.01
 
 
+def check_count(value, name: str, minimum: int) -> None:
+    """Refuse a count that is not an integer >= `minimum`: Python and numpy
+    integers pass, bools and integral floats do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}")
+
+
 @dataclass
 class TrainConfig:
     hidden: int = 16
@@ -95,14 +105,13 @@ class TrainConfig:
     precision: str | None = None  # "f32" | "f64"; None reads $SFR_PRECISION
 
     def validate(self) -> None:
-        if self.hidden < 1:
-            raise ValidationError("hidden must be >= 1")
+        check_count(self.hidden, "hidden", 1)
+        check_count(self.pretrain_epochs, "pretrain_epochs", 0)
+        check_count(self.finetune_epochs, "finetune_epochs", 0)
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise ValidationError("lr must be finite and > 0")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise ValidationError("weight_decay must be finite and >= 0")
-        if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
-            raise ValidationError("epoch counts must be >= 0")
         if self.pretrain_epochs == 0 and self.finetune_epochs == 0:
             raise ValidationError("pretrain_epochs and finetune_epochs cannot both be 0")
         if not (0.0 < self.internaa_ratio <= 1.0):
@@ -161,6 +170,29 @@ class AugmentedFeatures:
     sample_log: dict[int, np.ndarray]
     adjacency_override: CsrAdjacency | None = None  # er / nd views propagate differently
 
+    def validate(self, g: Graph) -> None:
+        """The view's contract on g. An override may only remove edges, so
+        that the view's rows fit inside the supervised pass's."""
+        n, d = g.features.shape
+        rows = self.rows
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 1
+                and np.issubdtype(rows.dtype, np.integer)):
+            raise ValidationError("view rows must be a 1-D integer array")
+        if rows.shape[0] and (rows[0] < 0 or rows[-1] >= n or np.any(np.diff(rows) <= 0)):
+            raise ValidationError(f"view rows must be strictly ascending ids in [0, {n})")
+        if not (isinstance(self.values, np.ndarray) and self.values.shape == (rows.shape[0], d)):
+            raise ValidationError(f"view values must be an array of shape ({rows.shape[0]}, {d})")
+        mask = self.replaced_mask
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (n,)):
+            raise ValidationError(f"view replaced_mask must be a bool array of shape ({n},)")
+        override = self.adjacency_override
+        if override is not None:
+            if override.dim != n:
+                raise ValidationError(f"view adjacency_override must have dimension {n}")
+            override.validate()
+            if not np.isin(override.edge_keys(), g.adjacency.edge_keys()).all():
+                raise ValidationError("view adjacency_override holds an edge the graph does not")
+
 
 def _check_loss(loss: float, context: str) -> float:
     if not np.isfinite(loss):
@@ -191,15 +223,18 @@ def _supervised_loop(
     change no result.
 
     Every epoch computes only the rows the losses read: the plan
-    `RowPlan.closure` of the training rows, sliced once per call (the view
-    gets its own when prop_aug is not prop). Each epoch's dropout scale is
-    the next draw of one generator per call, for the plan's R1 rows only.
+    `RowPlan.closure` of the training rows, sliced once per call, whose rows
+    the view runs on too, over prop_aug sliced to them. prop_aug holds only
+    edges of prop (`AugmentedFeatures.validate`), so each view row a loss
+    reads sums the entries its own closure would, in the same order, and the
+    other rows carry exact zero gradient. Each epoch's dropout scale is the
+    next draw of one generator per call, for the plan's R1 rows only.
 
     The view's operand is the graph's, with the view's row patch swapped in.
-    On the main plan its x @ w1 is the main pass's a1 with the patch rows
-    recomputed, and its w1 gradient is taken on its R1 rows alone: InfoNCE's
-    gradient enters at training rows, so the layer-1 gradient is exactly zero
-    on the other input rows. Both give the bytes of the full products.
+    Its x @ w1 is the main pass's a1 with the patch rows recomputed, and its
+    w1 gradient is taken on its R1 rows alone: InfoNCE's gradient enters at
+    training rows, so the layer-1 gradient is exactly zero on the other input
+    rows. Both give the bytes of the full products.
     """
     dtype = cfg.dtype
     train_ids = np.flatnonzero(g.splits.train)
@@ -214,12 +249,15 @@ def _supervised_loop(
     state = AdamState.zeros_like(params)
     if view is not None:
         aug, prop_aug, mask = view
-        plan_aug = plan if prop_aug is prop else RowPlan.closure(prop_aug, train_ids)
-        x_aug, patch_at = patched_operand(operand, aug.rows, aug.values, plan_aug.input_rows)
+        r1, r2 = plan.hidden_rows, plan.input_rows
+        plan_aug = plan if prop_aug is prop else RowPlan(
+            r1, r2, prop_aug.block(r1, r2), prop_aug.block(train_ids, r1)
+        )
+        x_aug, patch_at = patched_operand(operand, aug.rows, aug.values, r2)
         x_patch = x_aug[patch_at]
-        hidden_at = np.searchsorted(plan_aug.input_rows, plan_aug.hidden_rows)
+        hidden_at = np.searchsorted(r2, r1)
         x_aug_t = feature_transpose(x_aug[hidden_at])
-        anchors, anchors_aug = mask[plan.hidden_rows], mask[plan_aug.hidden_rows]
+        anchors = mask[r1]
         zero_lp = np.zeros((train_ids.shape[0], g.num_classes), params.w1.dtype)
     drop_gen = rng.substream(f"{stage_name}-dropout").generator()
     drop_shape = (plan.hidden_rows.shape[0], params.w1.shape[1])
@@ -232,15 +270,11 @@ def _supervised_loop(
         if view is None:
             grads = gcn_backward(cache, grad_lp, x_t=x_t)
         else:
-            a1_aug = None
-            if plan_aug is plan:
-                a1_aug = cache.a1.copy()
-                a1_aug[patch_at] = x_patch @ params.w1
-            _, cache_aug = gcn_forward(params, x_aug, plan_aug, a1=a1_aug)
-            loss_c, grad_h, grad_h_aug = infonce_loss(
-                cache.h, cache_aug.h, anchors, cfg.temperature, anchors_aug
-            )
-            loss = loss + loss_c
+            a1_aug = cache.a1.copy()
+            a1_aug[patch_at] = x_patch @ params.w1
+            _, cache_aug = gcn_forward(params, None, plan_aug, a1=a1_aug)
+            nce, grad_h, grad_h_aug = infonce_loss(cache.h, cache_aug.h, anchors, cfg.temperature)
+            loss = loss + nce
             grads = gcn_backward(cache, grad_lp, grad_hidden=grad_h, x_t=x_t) + gcn_backward(
                 cache_aug, zero_lp, grad_hidden=grad_h_aug, x_t=x_aug_t, x_rows=hidden_at
             )
@@ -370,13 +404,15 @@ def finetune(
 ) -> TrainedModel:
     """Continue training from pretrained weights with propagation enabled:
     `_supervised_loop` through the graph, plus the contrastive term against
-    the augmented view `aug`. aug=None trains without the contrastive term.
+    the augmented view `aug`, which must pass `AugmentedFeatures.validate`.
+    aug=None trains without the contrastive term.
     """
     cfg.validate()
     history = history or TrainingHistory()
     prop = normalize_adjacency(g.adjacency)
     view = None
     if aug is not None:
+        aug.validate(g)
         override = aug.adjacency_override
         prop_aug = prop if override is None else normalize_adjacency(override)
         contrast_mask = g.splits.train & aug.replaced_mask

@@ -98,8 +98,14 @@ def test_spec_validation(sbm_dir):
         ExperimentSpec(dataset=str(sbm_dir), variants=["bogus"], attack="none").validate()
     with pytest.raises(ValidationError):
         ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], attack="external").validate()
-    with pytest.raises(ValidationError):
-        ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], repeats=0).validate()
+    for bad in (0, 2.0, 1.5, float("nan"), True):
+        with pytest.raises(ValidationError):
+            ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], repeats=bad).validate()
+        with pytest.raises(ValidationError):
+            bench_timing(sbm_dir, ["gcn"], repeats=bad)
+        with pytest.raises(ValidationError):
+            paired_effect_probe(sbm_dir, ptb_ratio=0.1, repeats=bad, seed=0)
+    ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], repeats=np.int64(2)).validate()
     with pytest.raises(ValidationError, match="plan file is required by, and only read with"):
         ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], attack="none",
                        plan_path="missing.tsv").validate()  # plan the run would not read
@@ -241,6 +247,8 @@ def test_reports_record_feature_operand(sbm_dir, tmp_path, sparse):
     for env in (run_experiment(spec).environment, timing.environment):
         assert env["feature_operand"] == ("csr" if sparse else "dense")
         assert env["feature_density"] == pytest.approx(want)
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
 
 
 def test_bench_timing_structure(tmp_path):

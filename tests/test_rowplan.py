@@ -173,7 +173,7 @@ def test_sliced_loop_matches_full_graph_reference(case, precision):
     g = CASES[case]()
     cfg = TrainConfig(pretrain_epochs=25, finetune_epochs=8, precision=precision)
     tol = TOL[precision]
-    for variant in VARIANTS:  # sfr_nd / sfr_er run their own override plans
+    for variant in VARIANTS:  # sfr_nd / sfr_er: their overrides on the main plan's rows
         try:
             ref_params, ref_losses = reference_train(g, cfg, variant, RngState(11))
         except AugmentationError:
@@ -199,7 +199,8 @@ def test_sliced_loop_is_bitwise_the_full_graph_loop_at_cora_size(seed, precision
     g = sbm_graph([387] * 7, p_in=3.2 / 386, p_out=0.8 / 2321, seed=seed)
     g.features = sparse_binary_features(g.num_nodes, 1433, seed)
     cfg = TrainConfig(pretrain_epochs=30, finetune_epochs=5, precision=precision)
-    for variant in ("mlp", "gcn", "sfr", "sfr_er"):  # sfr_er: the view's own plan
+    # sfr_nd / sfr_er: the view's own propagation, sliced to the pass's rows
+    for variant in ("mlp", "gcn", "sfr", "sfr_nd", "sfr_er"):
         want, _ = reference_train(g, cfg, variant, RngState(seed))
         got = train(g, cfg, variant, RngState(seed)).params
         assert all(np.array_equal(a, b) for a, b in zip(got.arrays(), want.arrays())), (
@@ -264,16 +265,16 @@ def test_operand_kind_follows_the_whole_feature_array(monkeypatch, inside, extra
     values = np.full((patch.shape[0], d), float(inside))
     aug = trainer.AugmentedFeatures(patch, values, g.splits.train.copy(), {})
     kinds = []
-    real = trainer.gcn_forward
+    real = trainer.feature_transpose
 
-    def spy(params, x_op, *args, **kwargs):
+    def spy(x_op):
         kinds.append(type(x_op))
-        return real(params, x_op, *args, **kwargs)
+        return real(x_op)
 
-    monkeypatch.setattr(trainer, "gcn_forward", spy)
+    monkeypatch.setattr(trainer, "feature_transpose", spy)
     params_p, _ = trainer.pretrain(g, TrainConfig(pretrain_epochs=1), RngState(2))
     trainer.finetune(g, params_p, aug, TrainConfig(finetune_epochs=1), RngState(3))
-    assert len(kinds) == 3  # pretraining, then both views
+    assert len(kinds) == 3  # the w1 products of pretraining, then of both views
     assert set(kinds) == {type(feature_operand(x, np.float32))}
     assert (kinds[0] is np.ndarray) == bool(extra)
 
@@ -375,9 +376,8 @@ def test_contrastive_view_runs_without_dropout(monkeypatch, variant):
     ):
         assert s is scale and s_aug is None
         assert shape == (rows.shape[0], cfg.hidden)  # the main plan's |R1| x H
-        # the nd / er views only remove edges, so their R1 lies inside the main one
-        assert np.isin(rows_aug, rows).all()
-        assert np.array_equal(rows, rows_aug) == (variant in ("sfr", "sfr_fm"))
+        # every view, the nd / er ones included, runs on the main pass's rows
+        assert np.array_equal(rows_aug, rows)
 
 
 def test_pretraining_is_bitwise_the_same_across_edge_sets(monkeypatch):

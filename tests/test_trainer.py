@@ -1,6 +1,7 @@
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,55 @@ def test_finetune_zero_epochs_returns_pretrain_params_bitwise():
     assert params_equal(model.params, params_p)
 
 
+def _with_added_edge(g):
+    pairs = g.adjacency.edge_pairs()
+    u, v = np.argwhere(np.triu(g.adjacency.to_dense() == 0, 1))[0]
+    return csr_from_edge_pairs(g.num_nodes, np.vstack([pairs, [[u, v]]]))
+
+
+VIEW_DEFECTS = {
+    "rows_2d": (lambda a, g: replace(a, rows=a.rows[:, None]), "1-D integer"),
+    "rows_float": (lambda a, g: replace(a, rows=a.rows.astype(float)), "1-D integer"),
+    "rows_swapped": (lambda a, g: replace(a, rows=a.rows[[1, 0, *range(2, a.rows.shape[0])]]),
+                     "strictly ascending"),
+    "rows_reversed": (lambda a, g: replace(a, rows=a.rows[::-1], values=a.values[::-1]),
+                      "strictly ascending"),
+    "rows_duplicate": (lambda a, g: replace(a, rows=np.r_[a.rows[:1], a.rows],
+                                            values=np.vstack([a.values[:1], a.values])),
+                       "strictly ascending"),
+    "rows_past_n": (lambda a, g: replace(a, rows=np.r_[a.rows, g.num_nodes],
+                                         values=np.vstack([a.values, a.values[:1]])),
+                    r"in \[0, 60\)"),
+    "rows_negative": (lambda a, g: replace(a, rows=np.r_[-1, a.rows],
+                                           values=np.vstack([a.values[:1], a.values])),
+                      r"in \[0, 60\)"),
+    "values_width": (lambda a, g: replace(a, values=a.values[:, :3]), "values"),
+    "values_rows": (lambda a, g: replace(a, values=a.values[1:]), "values"),
+    "mask_int": (lambda a, g: replace(a, replaced_mask=a.replaced_mask.astype(int)),
+                 "replaced_mask"),
+    "mask_short": (lambda a, g: replace(a, replaced_mask=a.replaced_mask[1:]), "replaced_mask"),
+    "override_dim": (lambda a, g: replace(a, adjacency_override=csr_from_edge_pairs(
+        g.num_nodes + 1, g.adjacency.edge_pairs())), "dimension 60"),
+    "override_adds_edge": (lambda a, g: replace(a, adjacency_override=_with_added_edge(g)),
+                           "edge the graph does not"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(VIEW_DEFECTS))
+def test_finetune_refuses_a_malformed_view(defect):
+    # each defect would otherwise train on a view other than the one
+    # described, or end in a raw numpy error
+    g = sbm_graph([20, 20, 20], p_in=0.2, p_out=0.02, seed=17, feature_dim=8,
+                  train_ratio=0.3, val_ratio=0.2)
+    cfg = small_cfg(pretrain_epochs=2, finetune_epochs=2)
+    params_p, _ = pretrain(g, cfg, RngState(4))
+    aug = internaa(g, RngState(4))
+    finetune(g, params_p, aug, cfg, RngState(4))  # the view as built trains
+    make, match = VIEW_DEFECTS[defect]
+    with pytest.raises(ValidationError, match=match):
+        finetune(g, params_p, make(aug, g), cfg, RngState(4))
+
+
 def test_finetune_improves_on_pretrain_for_homophilous_sbm():
     g = sbm_graph([10, 10], p_in=0.5, p_out=0.05, seed=12, feature_dim=6,
                   separation=0.8, train_ratio=0.2, val_ratio=0.2)
@@ -410,9 +460,14 @@ def test_config_rejects_nonsense_model_settings():
     inf, nan = float("inf"), float("nan")
     for bad in (dict(hidden=0), dict(lr=0.0), dict(lr=-0.1), dict(lr=nan), dict(lr=inf),
                 dict(weight_decay=-1e-4), dict(weight_decay=inf), dict(weight_decay=nan),
-                dict(temperature=inf), dict(temperature=nan), dict(temperature=-inf)):
+                dict(temperature=inf), dict(temperature=nan), dict(temperature=-inf),
+                dict(hidden=16.0), dict(hidden=nan), dict(hidden=True),
+                dict(pretrain_epochs=2.5), dict(pretrain_epochs=inf),
+                dict(finetune_epochs=1.5), dict(finetune_epochs=False)):
         with pytest.raises(ValidationError):
             TrainConfig(**bad).validate()
+    TrainConfig(hidden=np.int64(8), pretrain_epochs=np.int32(3),
+                finetune_epochs=np.uint8(2)).validate()  # numpy integers are counts
 
 
 @pytest.mark.parametrize("precision, sparse", [

@@ -58,6 +58,7 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         check_count(self.repeats, "repeats", 1)
+        check_count(self.base_seed, "base_seed")
         if self.attack not in ATTACKS:
             raise ValidationError(f"attack must be one of {ATTACKS}")
         # a flag the run would not read is refused, not written into the report
@@ -136,12 +137,19 @@ def _trial_threads() -> int:
 def environment_metadata(cfg: TrainConfig, g: Graph) -> dict:
     """Versions, settings, usable CPUs, and the feature operand kind (`csr`
     or `dense`, see `nn.feature_operand`) and nonzero share of the graph
-    trained on."""
+    trained on. `blas` is numpy's BLAS, name and version (`unknown` where
+    numpy does not say): a dense product's bits depend on it."""
     import scipy  # here, not at the top: importing sfrgnn does not load scipy
 
     operand = feature_operand(g.features, cfg.dtype, g.feature_operands)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):
+        blas = "unknown"
     return {
+        "blas": blas,
         "cpu_count": cpus,
         "feature_density": float(np.count_nonzero(g.features) / g.features.size),
         "feature_operand": "dense" if isinstance(operand, np.ndarray) else "csr",
@@ -337,6 +345,7 @@ def paired_effect_probe(
     degree-preservingly shuffled attributes (each relative to its own clean
     baseline)."""
     check_count(repeats, "repeats", 1)
+    check_count(seed, "seed")
     cfg = cfg or TrainConfig()
     g = load_graph(dataset, split_seed=seed)
     base = RngState(seed)
@@ -398,6 +407,7 @@ def bench_timing(
     `WARMUP_EPOCHS` leading epochs of every stage. Trials run sequentially so
     measurements never overlap."""
     check_count(repeats, "repeats", 1)
+    check_count(base_seed, "base_seed")
     _validate_variants(variants)
     cfg = cfg or TrainConfig()
     g = load_graph(dataset, split_seed=base_seed)

@@ -8,8 +8,8 @@ replays it; the `grad` surrogate trains at the default config, whatever the
 training flags.
 Exit codes: 0 success, 1 validation error (bad flags, flags the run would not
 read such as `--plan` without `--attack external` or `--ptb` with it, unknown
-variant names, config values, env vars, dataset or plan files), 2 numeric
-error, 3 capacity error.
+variant names, config values, env vars, dataset or plan files, an `--out`
+that cannot be written), 2 numeric error, 3 capacity error.
 Env vars: SFR_THREADS (trial-level parallelism, a positive integer),
 SFR_PRECISION (f32|f64).
 """
@@ -174,6 +174,15 @@ def _cmd_check_grad(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out that is a directory or whose parent is not one."""
+    path = Path(out)
+    if path.is_dir():
+        raise ValidationError(f"--out {out} is a directory")
+    if not path.parent.is_dir():
+        raise ValidationError(f"--out {out}: {path.parent} is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     handlers = {
         "train": _cmd_train,
@@ -184,7 +193,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        out = getattr(args, "out", None)
+        if out is not None:
+            _check_out(out)  # before any work
+        try:
+            return handlers[args.command](args)
+        except OSError as exc:  # only one on the --out path is the write's own
+            if out is None or exc.filename is None or Path(exc.filename) != Path(out):
+                raise
+            raise ValidationError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     except SfrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

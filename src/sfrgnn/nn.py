@@ -2,7 +2,8 @@
 with analytic gradients, Adam, and finite-difference verification.
 
 No autodiff anywhere: every gradient below is derived by hand and checked
-against central finite differences (see `check_gradients`). All kernels are
+against central finite differences (see `check_gradients`), both kernel by
+kernel and through the trainer's own epoch objective. All kernels are
 pure functions; in-place mutation is confined to Adam: `AdamState.zeros_like`
 packs the parameters into one flat buffer and `adam_step` updates it.
 
@@ -625,37 +626,31 @@ def _non_symmetric_prop(gen: np.random.Generator, n: int, density: float) -> Csr
 
 def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     """Finite-difference suites for the GCN backward (parameters and
-    propagation matrix, symmetric or not, full-graph or on a RowPlan),
-    fine-tuning's contrastive objective, NLL, and InfoNCE."""
+    propagation matrix, symmetric or not, full-graph), the trainer's epoch
+    objective (`trainer.epoch_objective`: a RowPlan in train mode, and
+    fine-tuning's contrastive term), NLL, and InfoNCE."""
+    # here, not at the top: trainer imports nn at module level
+    from .trainer import AugmentedFeatures, epoch_objective
+
     report = GradCheckReport()
     x, labels, mask, prop, params = _random_instance(rng)
 
-    def param_grad_error(c_x, c_labels, c_mask, c_prop, c_params, scale=None, view=None):
-        """The NLL of a pass; with `view` = (x', plan', anchors, patch_at,
-        hidden_at) plus InfoNCE against an eval-mode pass on plan', whose rows
-        are the pass's, as in fine-tuning: its layer-1 input is the pass's a1
-        with x''s rows patch_at multiplied anew, and its w1 gradient is taken
-        on x''s rows hidden_at alone."""
-
-        def objective(theta_vec):
-            theta = vector_to_params(theta_vec, c_params)
-            lp, cache = gcn_forward(theta, c_x, c_prop, scale)
-            loss, grad_lp = nll_loss(lp, c_labels, c_mask)
-            if view is None:
-                return loss, gcn_backward(cache, grad_lp)
-            x_v, plan_v, anchors, patch_at, x_rows = view
-            a1_v = cache.a1.copy()
-            a1_v[patch_at] = x_v[patch_at] @ theta.w1
-            _, cache_v = gcn_forward(theta, None, plan_v, a1=a1_v)
-            nce, grad_h, grad_h_v = infonce_loss(cache.h, cache_v.h, anchors, 0.5)
-            return loss + nce, gcn_backward(cache, grad_lp, grad_hidden=grad_h) + gcn_backward(
-                cache_v, np.zeros_like(lp), grad_hidden=grad_h_v,
-                x_t=x_v[x_rows].T, x_rows=x_rows,
-            )
-
+    def objective_error(objective, c_params, scale=None):
         theta0 = params_to_vector(c_params)
-        numeric = finite_difference_grad(lambda v: objective(v)[0], theta0, eps)
-        return relative_gradient_error(params_to_vector(objective(theta0)[1]), numeric)
+
+        def at(theta_vec):
+            return objective(vector_to_params(theta_vec, c_params), scale)
+
+        numeric = finite_difference_grad(lambda v: at(v)[0], theta0, eps)
+        return relative_gradient_error(params_to_vector(at(theta0)[1]), numeric)
+
+    def param_grad_error(c_x, c_labels, c_mask, c_prop, c_params, scale=None):
+        def objective(theta, c_scale):
+            lp, cache = gcn_forward(theta, c_x, c_prop, c_scale)
+            loss, grad_lp = nll_loss(lp, c_labels, c_mask)
+            return loss, gcn_backward(cache, grad_lp)
+
+        return objective_error(objective, c_params, scale)
 
     report.errors["gcn_backward/propagated"] = param_grad_error(x, labels, mask, prop, params)
     report.errors["gcn_backward/no_prop"] = param_grad_error(x, labels, mask, None, params)
@@ -670,43 +665,37 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     report.errors["gcn_backward/non_symmetric"] = param_grad_error(
         x, labels, mask, _non_symmetric_prop(gen, x.shape[0], 0.5), params
     )
-    # train mode on the RowPlan of a sparser non-symmetric P: x on R2, the
-    # loss on the output rows T, the dropout scale on R1 only
+    # the trainer's objective in train mode on the RowPlan of a sparser
+    # non-symmetric P: the loss on the output rows T, the dropout scale on R1
     n_plan = 24
     out_rows = np.sort(gen.permutation(n_plan)[:5])
     p_plan = _non_symmetric_prop(gen, n_plan, 0.08)
-    plan = RowPlan.closure(p_plan, out_rows)
-    x_plan = gen.standard_normal((n_plan, x.shape[1]))[plan.input_rows]
+    x_plan = gen.standard_normal((n_plan, x.shape[1]))
     labels_plan = gen.integers(0, params.w2.shape[1], size=out_rows.shape[0])
-    every = np.ones(out_rows.shape[0], dtype=bool)
+    plan, objective = epoch_objective(x_plan, out_rows, labels_plan, p_plan)
     scale_r1 = dropout_mask(gen, (plan.hidden_rows.shape[0], hidden), 0.5)
-    report.errors["gcn_backward/row_plan_dropout"] = param_grad_error(
-        x_plan, labels_plan, every, plan, params, scale_r1
-    )
-    # that pass plus InfoNCE on three output rows against views on its rows,
-    # whose gradient reaches the train-mode pass before its dropout scale. An
-    # edge-removing view propagates over P's diagonal and about half of its
-    # other entries, with values of its own, sliced to the pass's R1 and R2
-    r1, r2 = plan.hidden_rows, plan.input_rows
+    report.errors["gcn_backward/row_plan_dropout"] = objective_error(objective, params, scale_r1)
+    # that objective plus InfoNCE on three output rows against views on its
+    # rows, whose gradient reaches the train-mode pass before its dropout
+    # scale. An edge-removing view propagates over P's diagonal and about half
+    # of its other entries, with values of its own
+    anchors = np.zeros(n_plan, dtype=bool)
+    anchors[out_rows[:3]] = True
     keys = p_plan.entry_rows() * n_plan + p_plan.col_indices
     keys = keys[(gen.random(keys.shape[0]) < 0.5) | (keys % (n_plan + 1) == 0)]
     p_er = csr_from_keys(n_plan, keys, values=gen.uniform(0.1, 1.0, keys.shape[0]))
-    plan_er = RowPlan(r1, r2, p_er.block(r1, r2), p_er.block(out_rows, r1))
-    anchors = np.isin(r1, out_rows[:3])
-    hidden_at = np.searchsorted(r2, r1)
-    report.errors["finetune/contrastive_edge_removing"] = param_grad_error(
-        x_plan, labels_plan, every, plan, params, scale_r1,
-        (x_plan, plan_er, anchors, np.empty(0, np.int64), hidden_at),
+    no_rows = AugmentedFeatures(np.empty(0, np.int64), np.zeros((0, x.shape[1])), anchors, {})
+    _, objective = epoch_objective(x_plan, out_rows, labels_plan, p_plan, (no_rows, p_er), 0.5)
+    report.errors["finetune/contrastive_edge_removing"] = objective_error(
+        objective, params, scale_r1
     )
     # a view on P with x new on the anchors' rows: layer 1 reuses the pass's
     # a1 elsewhere, and the w1 product runs on R1 alone; a wrong row map in
     # either gives a wrong gradient
-    patch_at = np.searchsorted(r2, out_rows[:3])
-    x_view = x_plan.copy()
-    x_view[patch_at] = gen.standard_normal((3, x.shape[1]))
-    report.errors["finetune/contrastive_patched_view"] = param_grad_error(
-        x_plan, labels_plan, every, plan, params, scale_r1,
-        (x_view, plan, anchors, patch_at, hidden_at),
+    patch = AugmentedFeatures(out_rows[:3], gen.standard_normal((3, x.shape[1])), anchors, {})
+    _, objective = epoch_objective(x_plan, out_rows, labels_plan, p_plan, (patch, p_plan), 0.5)
+    report.errors["finetune/contrastive_patched_view"] = objective_error(
+        objective, params, scale_r1
     )
     # square (N = d), so that a transposed feature operand keeps its shape and
     # shows as a wrong gradient; row 0 and column 1 of the CSR x are all zero

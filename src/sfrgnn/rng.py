@@ -16,8 +16,10 @@ import numpy as np
 
 
 def _mix(seed: int, label: str) -> int:
+    """(seed, label) hashed to a 64-bit seed; any Python or numpy integer
+    seed is taken modulo 2^64."""
     h = hashlib.blake2b(digest_size=8)
-    h.update(seed.to_bytes(8, "little", signed=False))
+    h.update((int(seed) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little", signed=False))
     h.update(label.encode("utf-8"))
     return int.from_bytes(h.digest(), "little")
 
@@ -30,13 +32,13 @@ class RngState:
 
     def substream(self, label: str) -> "RngState":
         """Derive an independent child stream identified by `label`."""
-        return RngState(seed=_mix(self.seed & 0xFFFFFFFFFFFFFFFF, label))
+        return RngState(seed=_mix(self.seed, label))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator at the start of this stream (same draws every call)."""
-        return np.random.Generator(np.random.Philox(key=self.seed & 0xFFFFFFFFFFFFFFFF))
+        return np.random.Generator(np.random.Philox(key=int(self.seed) & 0xFFFFFFFFFFFFFFFF))
 
 
 def derive_trial_seed(base_seed: int, variant: str, repeat_index: int) -> int:
     """Stable per-trial seed; independent of how many repeats are requested."""
-    return _mix(base_seed & 0xFFFFFFFFFFFFFFFF, f"trial:{variant}:{repeat_index}")
+    return _mix(base_seed, f"trial:{variant}:{repeat_index}")

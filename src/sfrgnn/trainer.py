@@ -11,8 +11,10 @@ training node's representation toward the representation of the same node
 under inter-class averaged attributes (a contrastive term).
 
 Pretraining, fine-tuning and the GCN/MLP baselines all run the one epoch loop
-`_supervised_loop`; fine-tuning is that loop with propagation on and, unless
-its augmented view is None, the contrastive term added.
+`_supervised_loop` on the one epoch objective `epoch_objective`, which
+`nn.check_gradients` also differentiates; fine-tuning is that loop with
+propagation on and, unless its augmented view is None, the contrastive term
+added.
 
 An epoch computes only the rows its losses read. Both losses read the
 training rows T, so layer 2 runs on T, layer 1 on R1 = T + N(T) and x @ w1 on
@@ -82,12 +84,13 @@ ABLATION_RATE = 0.2  # corruption rate for the nd / er / fm contrastive views
 JACCARD_THRESHOLD = 0.01
 
 
-def check_count(value, name: str, minimum: int) -> None:
-    """Refuse a count that is not an integer >= `minimum`: Python and numpy
-    integers pass, bools and integral floats do not."""
+def check_count(value, name: str, minimum: int | None = None) -> None:
+    """Refuse a value that is not an integer >= `minimum` (any integer, such
+    as a seed, without one): Python and numpy integers pass, bools and
+    integral floats do not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}")
 
 
@@ -200,56 +203,43 @@ def _check_loss(loss: float, context: str) -> float:
     return float(loss)
 
 
-def _supervised_loop(
-    g: Graph,
-    cfg: TrainConfig,
-    rng: RngState,
+def epoch_objective(
+    operand,
+    train_ids: np.ndarray,
+    labels: np.ndarray,
     prop: CsrAdjacency | None,
-    epochs: int,
-    stage: StageHistory,
-    stage_name: str,
-    params: ModelParams | None = None,
-    view: tuple[AugmentedFeatures, CsrAdjacency, np.ndarray] | None = None,
-) -> ModelParams:
-    """The one training loop: NLL on the training mask, behind pretraining,
-    fine-tuning and the GCN/MLP baselines. With prop=None it never touches
-    the graph structure.
+    view: tuple[AugmentedFeatures, CsrAdjacency] | None = None,
+    temperature: float = 1.0,
+):
+    """The epoch's loss as a function of the parameters. Returns (plan,
+    objective): `plan` is `RowPlan.closure(prop, train_ids)`, and
+    `objective(params, drop_scale)` runs one pass on it and returns the loss
+    and its exact parameter gradients: the NLL of `labels` at the ascending
+    ids `train_ids`, on `operand` (`feature_operand`, in the weights' dtype),
+    with a dropout scale of one row per R1 row, or None (eval mode).
 
-    `view` = (aug, prop_aug, mask) adds the contrastive term: a second
-    forward on the augmented attributes, in eval mode, and an InfoNCE loss
-    between the two pre-dropout hidden representations on `mask`, whose
-    gradient flows through both views. The two losses are summed unweighted.
-    No loss reads the view past its hidden layer, so dropout there would
-    change no result.
-
-    Every epoch computes only the rows the losses read: the plan
-    `RowPlan.closure` of the training rows, sliced once per call, whose rows
-    the view runs on too, over prop_aug sliced to them. prop_aug holds only
-    edges of prop (`AugmentedFeatures.validate`), so each view row a loss
-    reads sums the entries its own closure would, in the same order, and the
-    other rows carry exact zero gradient. Each epoch's dropout scale is the
-    next draw of one generator per call, for the plan's R1 rows only.
-
-    The view's operand is the graph's, with the view's row patch swapped in.
-    Its x @ w1 is the main pass's a1 with the patch rows recomputed, and its
-    w1 gradient is taken on its R1 rows alone: InfoNCE's gradient enters at
-    training rows, so the layer-1 gradient is exactly zero on the other input
-    rows. Both give the bytes of the full products.
+    `view` = (aug, prop_aug) adds, unweighted, InfoNCE at `temperature`
+    between the pass's pre-dropout hidden rows and those of an eval-mode pass
+    on aug's features, on the anchors: the training nodes aug replaces. No
+    loss reads the view past its hidden layer, so its dropout would change
+    nothing. The view runs on the plan's rows, over prop_aug sliced to them;
+    prop_aug holds only edges of prop (`AugmentedFeatures.validate`), so each
+    view row a loss reads sums the entries its own closure would, in the same
+    order. Its x @ w1 is the pass's a1 with aug's patch rows recomputed, and
+    its w1 gradient is taken on its R1 rows alone, where InfoNCE's gradient
+    can reach; both give the bytes of the full products. Everything but the
+    passes is set up once per call.
     """
-    dtype = cfg.dtype
-    train_ids = np.flatnonzero(g.splits.train)
     plan = RowPlan.closure(prop, train_ids)
-    operand = feature_operand(g.features, dtype, g.feature_operands)
     x = operand[plan.input_rows]
     x_t = feature_transpose(x)
-    labels = g.labels[train_ids]
     every = np.ones(train_ids.shape[0], dtype=bool)
-    if params is None:
-        params = init_params(x.shape[1], cfg.hidden, g.num_classes, rng, dtype)
-    state = AdamState.zeros_like(params)
     if view is not None:
-        aug, prop_aug, mask = view
+        aug, prop_aug = view
         r1, r2 = plan.hidden_rows, plan.input_rows
+        anchors = aug.replaced_mask[r1] & np.isin(r1, train_ids)
+        if not anchors.any():
+            raise ValidationError("contrastive mask selects no training nodes")
         plan_aug = plan if prop_aug is prop else RowPlan(
             r1, r2, prop_aug.block(r1, r2), prop_aug.block(train_ids, r1)
         )
@@ -257,27 +247,56 @@ def _supervised_loop(
         x_patch = x_aug[patch_at]
         hidden_at = np.searchsorted(r2, r1)
         x_aug_t = feature_transpose(x_aug[hidden_at])
-        anchors = mask[r1]
-        zero_lp = np.zeros((train_ids.shape[0], g.num_classes), params.w1.dtype)
-    drop_gen = rng.substream(f"{stage_name}-dropout").generator()
-    drop_shape = (plan.hidden_rows.shape[0], params.w1.shape[1])
-    for _ in range(epochs):
-        calls0 = spmm_calls()
-        t0 = time.perf_counter()
-        scale = dropout_mask(drop_gen, drop_shape, cfg.dropout)
-        log_probs, cache = gcn_forward(params, x, plan, scale)
+
+    def objective(params: ModelParams, drop_scale: np.ndarray | None):
+        log_probs, cache = gcn_forward(params, x, plan, drop_scale)
         loss, grad_lp = nll_loss(log_probs, labels, every)
         if view is None:
-            grads = gcn_backward(cache, grad_lp, x_t=x_t)
-        else:
-            a1_aug = cache.a1.copy()
-            a1_aug[patch_at] = x_patch @ params.w1
-            _, cache_aug = gcn_forward(params, None, plan_aug, a1=a1_aug)
-            nce, grad_h, grad_h_aug = infonce_loss(cache.h, cache_aug.h, anchors, cfg.temperature)
-            loss = loss + nce
-            grads = gcn_backward(cache, grad_lp, grad_hidden=grad_h, x_t=x_t) + gcn_backward(
-                cache_aug, zero_lp, grad_hidden=grad_h_aug, x_t=x_aug_t, x_rows=hidden_at
-            )
+            return loss, gcn_backward(cache, grad_lp, x_t=x_t)
+        a1_aug = cache.a1.copy()
+        a1_aug[patch_at] = x_patch @ params.w1
+        _, cache_aug = gcn_forward(params, None, plan_aug, a1=a1_aug)
+        nce, grad_h, grad_h_aug = infonce_loss(cache.h, cache_aug.h, anchors, temperature)
+        grads = gcn_backward(cache, grad_lp, grad_hidden=grad_h, x_t=x_t) + gcn_backward(
+            cache_aug, np.zeros_like(grad_lp), grad_hidden=grad_h_aug, x_t=x_aug_t, x_rows=hidden_at
+        )
+        return loss + nce, grads
+
+    return plan, objective
+
+
+def _supervised_loop(
+    g: Graph,
+    cfg: TrainConfig,
+    rng: RngState,
+    prop: CsrAdjacency | None,
+    history: TrainingHistory,
+    stage_name: str,
+    params: ModelParams | None = None,
+    view: tuple[AugmentedFeatures, CsrAdjacency] | None = None,
+) -> ModelParams:
+    """The one training loop, behind pretraining, fine-tuning and the GCN/MLP
+    baselines: `cfg.<stage_name>_epochs` Adam steps on the `epoch_objective`
+    of g's training rows, recorded in `history.<stage_name>`. With prop=None
+    it never touches the graph structure. Each epoch's dropout scale is the
+    next draw of one generator per call, for the plan's R1 rows only.
+    """
+    dtype = cfg.dtype
+    stage = getattr(history, stage_name)
+    train_ids = np.flatnonzero(g.splits.train)
+    operand = feature_operand(g.features, dtype, g.feature_operands)
+    plan, objective = epoch_objective(
+        operand, train_ids, g.labels[train_ids], prop, view, cfg.temperature
+    )
+    if params is None:
+        params = init_params(operand.shape[1], cfg.hidden, g.num_classes, rng, dtype)
+    state = AdamState.zeros_like(params)
+    drop_gen = rng.substream(f"{stage_name}-dropout").generator()
+    drop_shape = (plan.hidden_rows.shape[0], params.w1.shape[1])
+    for _ in range(getattr(cfg, f"{stage_name}_epochs")):
+        calls0 = spmm_calls()
+        t0 = time.perf_counter()
+        loss, grads = objective(params, dropout_mask(drop_gen, drop_shape, cfg.dropout))
         adam_step(params, grads, state, cfg.lr, cfg.weight_decay)
         stage.losses.append(_check_loss(loss, stage_name))
         stage.epoch_ms.append((time.perf_counter() - t0) * 1000.0)
@@ -293,10 +312,7 @@ def pretrain(
     read. Returns the trained params and the history."""
     cfg.validate()
     history = history or TrainingHistory()
-    params = _supervised_loop(
-        g, cfg, rng, prop=None, epochs=cfg.pretrain_epochs,
-        stage=history.pretrain, stage_name="pretrain",
-    )
+    params = _supervised_loop(g, cfg, rng, None, history, "pretrain")
     return params, history
 
 
@@ -414,15 +430,8 @@ def finetune(
     if aug is not None:
         aug.validate(g)
         override = aug.adjacency_override
-        prop_aug = prop if override is None else normalize_adjacency(override)
-        contrast_mask = g.splits.train & aug.replaced_mask
-        if not contrast_mask.any():
-            raise ValidationError("contrastive mask selects no training nodes")
-        view = (aug, prop_aug, contrast_mask)
-    params = _supervised_loop(
-        g, cfg, rng, prop=prop, epochs=cfg.finetune_epochs,
-        stage=history.finetune, stage_name="finetune", params=params_p.copy(), view=view,
-    )
+        view = (aug, prop if override is None else normalize_adjacency(override))
+    params = _supervised_loop(g, cfg, rng, prop, history, "finetune", params_p.copy(), view)
     return TrainedModel(params=params, variant=variant, uses_prop=True, history=history)
 
 
@@ -475,8 +484,7 @@ def train(g: Graph, cfg: TrainConfig, variant: str, rng: RngState) -> TrainedMod
         target = jaccard_prune(g) if variant == "gcn_jaccard" else g
         history = TrainingHistory()
         params = _supervised_loop(
-            target, cfg, rng, prop=normalize_adjacency(target.adjacency),
-            epochs=cfg.pretrain_epochs, stage=history.pretrain, stage_name="pretrain",
+            target, cfg, rng, normalize_adjacency(target.adjacency), history, "pretrain"
         )
         return TrainedModel(params=params, variant=variant, uses_prop=True, history=history)
 

@@ -106,6 +106,15 @@ def test_spec_validation(sbm_dir):
         with pytest.raises(ValidationError):
             paired_effect_probe(sbm_dir, ptb_ratio=0.1, repeats=bad, seed=0)
     ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], repeats=np.int64(2)).validate()
+    for bad in (1.5, True, "0"):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], base_seed=bad).validate()
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            bench_timing(sbm_dir, ["gcn"], repeats=1, base_seed=bad)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            paired_effect_probe(sbm_dir, ptb_ratio=0.1, repeats=1, seed=bad)
+    for seed in (-5, np.int64(-5)):  # any integer is a seed
+        ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], base_seed=seed).validate()
     with pytest.raises(ValidationError, match="plan file is required by, and only read with"):
         ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], attack="none",
                        plan_path="missing.tsv").validate()  # plan the run would not read
@@ -244,7 +253,12 @@ def test_reports_record_feature_operand(sbm_dir, tmp_path, sparse):
     want = (np.count_nonzero(g.features) / g.features.size) if sparse else 1.0
     spec = ExperimentSpec(dataset=str(dataset), variants=["gcn"], repeats=1, config=quick_cfg())
     timing = bench_timing(dataset, ["mlp"], repeats=1, cfg=quick_cfg())
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        blas = "unknown"
     for env in (run_experiment(spec).environment, timing.environment):
+        assert env["blas"].startswith(blas)
         assert env["feature_operand"] == ("csr" if sparse else "dense")
         assert env["feature_density"] == pytest.approx(want)
         assert env["numpy"] == np.__version__

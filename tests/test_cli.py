@@ -319,3 +319,48 @@ def test_bad_bench_variant_list_exits_one(dataset, tmp_path, capsys, variants, m
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+OUT_COMMANDS = {
+    "train": ["--variant", "mlp", "--repeats", "1", "--pretrain-epochs", "2"],
+    "attack": ["--method", "random", "--ptb", "0.1"],
+    "bench": ["--variants", "mlp", "--repeats", "1"],
+    "paired-effect": ["--ptb", "0.1", "--repeats", "1"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_unwritable_out_exits_one_before_any_work(dataset, tmp_path, monkeypatch, capsys,
+                                                  command, where):
+    import sfrgnn.bench as bench_mod
+    import sfrgnn.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    # every command loads its graph first; `train` would then run a trial
+    for module, name in ((bench_mod, "load_graph"), (bench_mod, "train"), (cli_mod, "load_graph")):
+        monkeypatch.setattr(module, name, no_work)
+    out = tmp_path / "missing" / "x.json" if where == "missing-parent" else tmp_path
+    rc = main([command, "--dataset", str(dataset), *OUT_COMMANDS[command], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: --out {out}") and "Traceback" not in err
+
+
+def test_out_write_error_exits_one(dataset, tmp_path, monkeypatch, capsys):
+    # a write that fails after the checks, here on a full disk, names the path
+    import errno
+
+    import sfrgnn.cli as cli_mod
+
+    def full_disk(plan, path):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli_mod, "save_plan", full_disk)
+    out = tmp_path / "plan.tsv"
+    rc = main(["attack", "--dataset", str(dataset), "--method", "random", "--ptb", "0.1",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: cannot write --out {out}: No space left on device\n"

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sfrgnn import nn
+from sfrgnn import nn, trainer
 from sfrgnn.cli import main
 from sfrgnn.errors import ValidationError
 from sfrgnn.graph import csr_from_keys, normalize_adjacency
@@ -447,11 +447,28 @@ def test_adam_step_refuses_params_its_state_did_not_pack():
 def test_check_gradients_passes():
     report = check_gradients(RngState(0))
     assert report.passed
-    assert "gcn_backward_wrt_prop" in report.errors
-    assert "gcn_backward/sparse_features" in report.errors
-    assert "finetune/contrastive_patched_view" in report.errors
-    assert "finetune/contrastive_edge_removing" in report.errors
+    assert set(report.errors) == {
+        "gcn_backward/propagated", "gcn_backward/no_prop", "gcn_backward/train_dropout",
+        "gcn_backward/non_symmetric", "gcn_backward/row_plan_dropout",
+        "finetune/contrastive_edge_removing", "finetune/contrastive_patched_view",
+        "gcn_backward/sparse_features", "nll_loss", "gcn_backward_wrt_prop",
+        "infonce/z", "infonce/z_aug",
+    }
     assert max(report.errors.values()) < 1e-5
+
+
+def test_check_gradients_differentiates_the_trainers_objective(monkeypatch):
+    # the trainer's view losing its patch positions computes its layer 1 on
+    # the unpatched rows while its w1 gradient reads the patched ones
+    real = trainer.patched_operand
+
+    def no_patch_positions(operand, rows, values, out_rows):
+        return real(operand, rows, values, out_rows)[0], np.empty(0, np.int64)
+
+    monkeypatch.setattr(trainer, "patched_operand", no_patch_positions)
+    report = check_gradients(RngState(0))
+    assert report.errors["finetune/contrastive_patched_view"] > report.threshold
+    assert not report.passed
 
 
 def test_check_gradients_multiple_seeds():

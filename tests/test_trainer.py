@@ -224,6 +224,13 @@ def _with_added_edge(g):
     return csr_from_edge_pairs(g.num_nodes, np.vstack([pairs, [[u, v]]]))
 
 
+def _replacing(aug, rows):
+    """aug replacing the rows at the ascending ids `rows` alone."""
+    mask = np.zeros(aug.replaced_mask.shape[0], dtype=bool)
+    mask[rows] = True
+    return replace(aug, rows=rows, values=aug.values[: rows.shape[0]], replaced_mask=mask)
+
+
 VIEW_DEFECTS = {
     "rows_2d": (lambda a, g: replace(a, rows=a.rows[:, None]), "1-D integer"),
     "rows_float": (lambda a, g: replace(a, rows=a.rows.astype(float)), "1-D integer"),
@@ -249,6 +256,8 @@ VIEW_DEFECTS = {
         g.num_nodes + 1, g.adjacency.edge_pairs())), "dimension 60"),
     "override_adds_edge": (lambda a, g: replace(a, adjacency_override=_with_added_edge(g)),
                            "edge the graph does not"),
+    "no_training_anchor": (lambda a, g: _replacing(a, np.flatnonzero(~g.splits.train)[:3]),
+                           "contrastive mask selects no training nodes"),
 }
 
 

@@ -25,6 +25,8 @@ from .graph import (
     normalize_adjacency,
     propagation_values,
     read_records,
+    sorted_contains,
+    unique_keys,
 )
 from .nn import (
     ModelParams,
@@ -64,26 +66,70 @@ class PerturbationPlan:
     trace: list[FlipTrace] = field(default_factory=list)  # one per flip; gradient attack only
     stop_reason: str = ""  # STOPPED_BUDGET or STOPPED_NO_GAIN; gradient attack only
 
-    def validate_against(self, g: Graph) -> None:
+    def validate_against(self, g: Graph) -> np.ndarray:
+        """Check the plan against g; return its pairs as keys
+        min(u, v) * n + max(u, v), in plan order.
+
+        Raises ValidationError for a plan longer than its budget, else for
+        the first offending flip in plan order, by that flip's first failing
+        check: an unknown action, a node id that is not an integer (Python
+        and numpy integers pass, bools and floats do not, as in
+        `check_count`), a self-pair, an id out of range, a pair named by an
+        earlier flip, then removing an absent or adding a present edge. The
+        checks run on arrays over the flips; presence is a binary search in
+        the graph's edge keys."""
         if len(self.flips) > self.budget:
             raise ValidationError("plan has more flips than its budget")
-        seen = set()
-        for action, u, v in self.flips:
-            if action not in ("add", "remove"):
-                raise ValidationError(f"unknown action {action!r}")
-            if u == v:
-                raise ValidationError("self-pair in plan")
-            if not (0 <= u < g.num_nodes and 0 <= v < g.num_nodes):
-                raise ValidationError("plan node id out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValidationError(f"pair {key} appears twice in plan")
-            seen.add(key)
-            present = g.adjacency.has_entry(u, v)
-            if action == "remove" and not present:
-                raise ValidationError(f"plan removes absent edge {key}")
-            if action == "add" and present:
-                raise ValidationError(f"plan adds existing edge {key}")
+        if not self.flips:
+            return np.empty(0, dtype=np.int64)
+        n, m = g.num_nodes, len(self.flips)
+        actions, us, vs = zip(*self.flips)
+        action = np.fromiter(actions, dtype=object, count=m)
+        is_add = action == "add"
+        integer, ids = _node_ids(us + vs)
+        u, v = ids[:m], ids[m:]
+        inside = ((u >= 0) & (u < n) & (v >= 0) & (v < n)).astype(bool)
+        failures = [  # (failing flips, message), in the order the checks run
+            (~(is_add | (action == "remove")), "unknown action {a!r}"),
+            (~(integer[:m] & integer[m:]), "plan node id must be an integer, got {ids!r}"),
+            ((u == v).astype(bool), "self-pair in plan"),
+            (~inside, "plan node id out of range"),
+        ]
+        u, v = (np.where(inside, w, 0).astype(np.int64) for w in (u, v))
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        order = np.argsort(keys, kind="stable")  # equal keys in plan order
+        twice = np.zeros(m, dtype=bool)
+        twice[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        present = sorted_contains(g.adjacency.edge_keys(), keys)
+        failures += [
+            (twice, "pair {key} appears twice in plan"),
+            (~is_add & ~present, "plan removes absent edge {key}"),
+            (is_add & present, "plan adds existing edge {key}"),
+        ]
+        bad = np.logical_or.reduce([flips for flips, _ in failures])
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, x, y = self.flips[i]
+            message = next(message for flips, message in failures if flips[i])
+            key = (min(x, y), max(x, y)) if "{key}" in message else None
+            raise ValidationError(message.format(a=a, ids=(x, y), key=key))
+        return keys
+
+
+def _node_ids(ids: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(which of `ids` are integers, the ids as an array): int64 when all
+    are Python or numpy integers that fit, else objects with the ids that
+    are not integers set to 0."""
+    kinds = set(map(type, ids))
+    if all(issubclass(k, (int, np.integer)) and k not in (bool, np.uint64) for k in kinds):
+        try:
+            return np.ones(len(ids), dtype=bool), np.fromiter(ids, np.int64, len(ids))
+        except OverflowError:  # a Python int beyond int64
+            pass
+    integer = np.array(
+        [not isinstance(x, bool) and isinstance(x, (int, np.integer)) for x in ids], dtype=bool
+    )
+    return integer, np.where(integer, np.fromiter(ids, object, len(ids)), 0)
 
 
 def _flip_budget(g: Graph, ptb_ratio: float) -> int:
@@ -102,6 +148,8 @@ def _random_fill(
     """Extend `flips` (pairs stored u < v) to `budget` entries with uniformly
     drawn non-self pairs it does not hold yet."""
     n = g.num_nodes
+    if len(flips) >= budget:
+        return flips
     chosen = {(u, v) for _, u, v in flips}
     while len(flips) < budget:
         u, v = (int(x) for x in gen.integers(0, n, size=2))
@@ -131,38 +179,82 @@ def dice_attack(g: Graph, ptb_ratio: float, rng: RngState) -> PerturbationPlan:
 
     Budget splits ~50/50 between removals and additions; exhausted pools fall
     back to uniform random flips. Only training-node labels are consulted.
+    The addition pool is made block by block of training rows
+    (`_addition_pool`), counted in a first pass and, after the draw, made
+    again for the drawn keys, so memory is O(E + budget + one block)
+    instead of O(T^2) for T training nodes; a pool of one block is kept
+    from the first pass.
     """
     budget = _flip_budget(g, ptb_ratio)
     gen = rng.substream("dice").generator()
     train_ids = np.flatnonzero(g.splits.train)
     labels = g.labels
+    n = g.num_nodes
 
-    pairs = g.adjacency.edge_pairs()
+    edge_keys = g.adjacency.edge_keys()
+    pairs = np.stack(np.divmod(edge_keys, n), axis=1)
     both_train = g.splits.train[pairs[:, 0]] & g.splits.train[pairs[:, 1]]
     same_class = labels[pairs[:, 0]] == labels[pairs[:, 1]]
     removal_pool = pairs[both_train & same_class]
+    # the edges whose pairs would otherwise be in the addition pool
+    inter_edges = edge_keys[both_train & ~same_class]
 
-    ti, tj = np.meshgrid(train_ids, train_ids, indexing="ij")
-    upper = ti < tj
-    cand_u, cand_v = ti[upper], tj[upper]
-    diff_class = labels[cand_u] != labels[cand_v]
-    cand_u, cand_v = cand_u[diff_class], cand_v[diff_class]
-    absent = np.isin(cand_u * g.num_nodes + cand_v, g.adjacency.edge_keys(), invert=True)
-    addition_pool = np.stack([cand_u[absent], cand_v[absent]], axis=1)
-
+    blocks = _row_blocks(train_ids.shape[0])
+    sizes = []
+    for a0, a1 in blocks:  # the first pass counts the pool
+        pool = _addition_pool(g, train_ids, inter_edges, a0, a1)
+        sizes.append(pool.shape[0])
     n_remove = min(budget // 2, removal_pool.shape[0])
-    n_add = min(budget - n_remove, addition_pool.shape[0])
+    n_add = min(budget - n_remove, sum(sizes))
     flips: list[tuple[str, int, int]] = []
     if n_remove:
-        for idx in gen.choice(removal_pool.shape[0], size=n_remove, replace=False):
-            u, v = (int(x) for x in removal_pool[idx])
-            flips.append(("remove", u, v))
+        drawn = removal_pool[gen.choice(removal_pool.shape[0], size=n_remove, replace=False)]
+        flips += [("remove", u, v) for u, v in drawn.tolist()]
     if n_add:
-        for idx in gen.choice(addition_pool.shape[0], size=n_add, replace=False):
-            u, v = (int(x) for x in addition_pool[idx])
-            flips.append(("add", u, v))
+        draws = gen.choice(sum(sizes), size=n_add, replace=False)
+        starts = np.cumsum([0] + sizes)
+        owner = np.searchsorted(starts, draws, side="right") - 1
+        added = np.empty(n_add, dtype=np.int64)
+        for b, (a0, a1) in enumerate(blocks):  # the second pass gathers the drawn keys
+            hit = owner == b
+            if hit.any():
+                if len(blocks) > 1:  # one block's pool is kept from the first pass
+                    pool = _addition_pool(g, train_ids, inter_edges, a0, a1)
+                added[hit] = pool[draws[hit] - starts[b]]
+        flips += [("add", u, v) for u, v in zip(*(a.tolist() for a in np.divmod(added, n)))]
     flips = _random_fill(g, flips, budget, gen)  # exhausted pools fall back to random
     return PerturbationPlan(flips=flips, budget=budget, ptb_ratio=ptb_ratio)
+
+
+def _row_blocks(t: int) -> list[tuple[int, int]]:
+    """Row ranges [a0, a1) of the pairs (a, b), a < b < t, of t training
+    nodes: each block's rectangle of rows a0 <= a < a1 and columns
+    a0 < b < t holds at most SCORE_BLOCK_ELEMENTS pairs (or one row)."""
+    blocks, a0 = [], 0
+    while a0 < t - 1:
+        a1 = min(a0 + max(SCORE_BLOCK_ELEMENTS // (t - a0 - 1), 1), t - 1)
+        blocks.append((a0, a1))
+        a0 = a1
+    return blocks
+
+
+def _addition_pool(
+    g: Graph, train_ids: np.ndarray, inter_edges: np.ndarray, a0: int, a1: int
+) -> np.ndarray:
+    """One block of DICE's addition pool, as ascending keys u * n + v: the
+    pairs of training nodes u = train_ids[a], v = train_ids[b] of different
+    classes, with a0 <= a < a1 and a < b, in row-major order, less the edges
+    among them. `inter_edges` holds the ascending keys of every edge that
+    joins training nodes of different classes."""
+    n, t = g.num_nodes, train_ids.shape[0]
+    labels = g.labels[train_ids]
+    keep = labels[a0:a1, None] != labels[None, a0 + 1 :]
+    keep &= np.arange(a0 + 1, t) > np.arange(a0, a1)[:, None]
+    keys = (train_ids[a0:a1, None] * n + train_ids[None, a0 + 1 :])[keep]
+    # the block's rows u are train_ids[a0:a1], so its edges' keys lie in
+    # [train_ids[a0] * n, train_ids[a1] * n), and each is one of `keys`
+    e0, e1 = np.searchsorted(inter_edges, train_ids[[a0, a1]] * n)
+    return np.delete(keys, np.searchsorted(keys, inter_edges[e0:e1]))
 
 
 class _ExactFlipLoss:
@@ -243,7 +335,7 @@ class _ExactFlipLoss:
         stored = cols == np.stack([v, u], axis=1).ravel()[row_of]  # entry (u, v) or (v, u)
         add = np.ones(k, dtype=bool)
         add[row_of[stored] // 2] = False
-        s1 = np.unique(row_of // 2 * n + cols)  # (candidate, node) keys of the S1 rows
+        s1 = unique_keys(row_of // 2 * n + cols)  # (candidate, node) keys of the S1 rows
         s1_cand, s1_node = s1 // n, s1 % n
         s1_bounds = np.searchsorted(s1_cand, np.arange(k + 1))
 
@@ -259,7 +351,7 @@ class _ExactFlipLoss:
             a2_rows[block] = (self.h @ self.params.w2)[rows]
             self.h[rows] = self.cache.h[rows]
 
-        s2 = np.unique(s1_cand[pos] * n + cols)  # every column of an S1 row
+        s2 = unique_keys(s1_cand[pos] * n + cols)  # every column of an S1 row
         out = s2[self.train_mask[s2 % n]]
         out_cand, out_node = out // n, out % n
         picked_new = np.empty(0)
@@ -285,7 +377,9 @@ class _ExactFlipLoss:
 
 
 GRAD_SHORTLIST = 32  # gradient-ranked candidates that get an exact loss evaluation
-SCORE_BLOCK_ELEMENTS = 1 << 20  # pair scores held at once while ranking: 8 MB of float64
+# node pairs held at once: a block of the gradient ranking's scores (8 MB of
+# float64), and a block of DICE's candidate pairs (their int64 keys, 8 MB)
+SCORE_BLOCK_ELEMENTS = 1 << 20
 SCORE_PASS_ELEMENTS = 1 << 17  # scores one pass over a block touches: 1 MB, within an L2
 
 
@@ -483,8 +577,9 @@ def sgc_gradient_attack(
             u, v = divmod(key, n)
             plan.flips.append(("remove" if exact.adj.has_entry(u, v) else "add", u, v))
             plan.trace.append(FlipTrace(best_pos + 1, estimate, float(deltas[best_pos])))
-            edge_keys = np.setxor1d(edge_keys, [key])
-            flipped_keys = np.union1d(flipped_keys, [key])
+            edge_keys = np.setxor1d(edge_keys, [key], assume_unique=True)
+            # a flipped key is never ranked again, so it is not in flipped_keys yet
+            flipped_keys = np.insert(flipped_keys, np.searchsorted(flipped_keys, key), key)
             if len(plan.flips) < budget:
                 exact = exact_for(edge_keys)
         if fresh:
@@ -505,21 +600,20 @@ ATTACK_METHODS = {
 
 def apply_perturbation(g: Graph, plan: PerturbationPlan) -> Graph:
     """Apply the plan's flips; features, labels, and splits are untouched."""
-    plan.validate_against(g)
+    flipped = plan.validate_against(g)
     n = g.num_nodes
     # a validated plan names each pair once, removes only present edges and
     # adds only absent ones, so toggling its keys applies it
-    flipped = np.array([min(u, v) * n + max(u, v) for _, u, v in plan.flips], dtype=np.int64)
-    keys = np.setxor1d(g.adjacency.edge_keys(), flipped)
-    return g.with_adjacency(csr_from_edge_pairs(n, np.stack([keys // n, keys % n], axis=1)))
+    keys = np.setxor1d(g.adjacency.edge_keys(), flipped, assume_unique=True)
+    return g.with_adjacency(csr_from_edge_pairs(n, np.stack(np.divmod(keys, n), axis=1)))
 
 
 def perturbation_stats(clean: Graph, perturbed: Graph) -> dict[str, float]:
     if clean.num_nodes != perturbed.num_nodes:
         raise ValidationError("graphs have different node counts")
     clean_keys, pert_keys = clean.adjacency.edge_keys(), perturbed.adjacency.edge_keys()
-    added = np.setdiff1d(pert_keys, clean_keys).shape[0]
-    removed = np.setdiff1d(clean_keys, pert_keys).shape[0]
+    added = np.setdiff1d(pert_keys, clean_keys, assume_unique=True).shape[0]
+    removed = np.setdiff1d(clean_keys, pert_keys, assume_unique=True).shape[0]
     e_clean = clean_keys.shape[0]
     return {
         "added": added,

@@ -57,8 +57,8 @@ class ExperimentSpec:
     config: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
-        check_count(self.repeats, "repeats", 1)
-        check_count(self.base_seed, "base_seed")
+        self.repeats = check_count(self.repeats, "repeats", 1)
+        self.base_seed = check_count(self.base_seed, "base_seed")
         if self.attack not in ATTACKS:
             raise ValidationError(f"attack must be one of {ATTACKS}")
         # a flag the run would not read is refused, not written into the report
@@ -344,8 +344,8 @@ def paired_effect_probe(
     accuracy drop of a GCN trained with those attributes against the drop with
     degree-preservingly shuffled attributes (each relative to its own clean
     baseline)."""
-    check_count(repeats, "repeats", 1)
-    check_count(seed, "seed")
+    repeats = check_count(repeats, "repeats", 1)
+    seed = check_count(seed, "seed")
     cfg = cfg or TrainConfig()
     g = load_graph(dataset, split_seed=seed)
     base = RngState(seed)
@@ -406,8 +406,8 @@ def bench_timing(
     """Median and IQR ms/epoch per variant and stage, measured after dropping
     `WARMUP_EPOCHS` leading epochs of every stage. Trials run sequentially so
     measurements never overlap."""
-    check_count(repeats, "repeats", 1)
-    check_count(base_seed, "base_seed")
+    repeats = check_count(repeats, "repeats", 1)
+    base_seed = check_count(base_seed, "base_seed")
     _validate_variants(variants)
     cfg = cfg or TrainConfig()
     g = load_graph(dataset, split_seed=base_seed)

@@ -13,7 +13,9 @@ inside the normalized propagation matrix returned by `normalize_adjacency`.
 
 Entry (i, j) of an N x N matrix has the int64 key i * N + j, so ascending
 keys are row-major order. Every CSR the package builds from entries comes out
-of `csr_from_keys`, which takes them as a key array sorted by row.
+of `csr_from_keys`, which takes them as a key array sorted by row. Sets of keys
+are sorted arrays, handled by sorts, masks and `np.searchsorted`
+(`unique_keys`, `sorted_contains`), never by numpy's general set routines.
 """
 
 from __future__ import annotations
@@ -103,8 +105,7 @@ class CsrAdjacency:
     def edge_keys(self) -> np.ndarray:
         """The undirected edges as ascending int64 keys u * n + v with u < v."""
         rows = self.entry_rows()
-        upper = rows < self.col_indices
-        return rows[upper] * self.dim + self.col_indices[upper]
+        return (rows * self.dim + self.col_indices)[rows < self.col_indices]
 
     def edge_pairs(self) -> np.ndarray:
         """Undirected edges as an (E, 2) array with u < v in each row, in key order."""
@@ -206,9 +207,29 @@ def csr_from_keys(
     width = n if cols is None else cols
     if values is None:
         values = np.ones(keys.shape[0])
+    rows = keys // width
     row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // width, minlength=n), out=row_offsets[1:])
-    return CsrAdjacency(row_offsets, keys % width, values, n, cols)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_offsets[1:])
+    return CsrAdjacency(row_offsets, keys - rows * width, values, n, cols)
+
+
+def unique_keys(keys: np.ndarray) -> np.ndarray:
+    """`np.unique` of an int64 key array: the keys sorted, each once. A sort
+    and a mask of adjacent repeats, several times faster on numpy 2.x."""
+    keys = np.sort(keys)
+    keep = np.empty(keys.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def sorted_contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of `keys` is in the ascending array `sorted_keys`, by
+    binary search."""
+    if sorted_keys.shape[0] == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.shape[0] - 1)
+    return sorted_keys[at] == keys
 
 
 def csr_from_edge_pairs(n: int, pairs: np.ndarray) -> CsrAdjacency:
@@ -224,8 +245,10 @@ def csr_from_edge_pairs(n: int, pairs: np.ndarray) -> CsrAdjacency:
         raise ValidationError("self-loop edges are not allowed")
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    upper = np.unique(lo * n + hi)
-    return csr_from_keys(n, np.sort(np.concatenate([upper, (upper % n) * n + upper // n])))
+    keys = unique_keys(lo * n + hi)
+    lo = keys // n
+    hi = keys - lo * n
+    return csr_from_keys(n, np.sort(np.concatenate([keys, hi * n + lo])))
 
 
 def propagation_values(dt_rows: np.ndarray, dt_cols: np.ndarray) -> np.ndarray:

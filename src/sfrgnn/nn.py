@@ -691,11 +691,16 @@ def check_gradients(rng: RngState, eps: float = 1e-5) -> GradCheckReport:
     )
     # a view on P with x new on the anchors' rows: layer 1 reuses the pass's
     # a1 elsewhere, and the w1 product runs on R1 alone; a wrong row map in
-    # either gives a wrong gradient
+    # either gives a wrong gradient. With 3 hidden units the anchors' live
+    # hidden rows can share one direction, which InfoNCE's row normalization
+    # projects out, hiding that fault on 3 of seeds 0-19; 8 units show it on all
+    wide = init_params(x.shape[1], 8, params.w2.shape[1], rng.substream("gradcheck-wide"),
+                       dtype=np.float64)
+    scale_wide = dropout_mask(gen, (plan.hidden_rows.shape[0], 8), 0.5)
     patch = AugmentedFeatures(out_rows[:3], gen.standard_normal((3, x.shape[1])), anchors, {})
     _, objective = epoch_objective(x_plan, out_rows, labels_plan, p_plan, (patch, p_plan), 0.5)
     report.errors["finetune/contrastive_patched_view"] = objective_error(
-        objective, params, scale_r1
+        objective, wide, scale_wide
     )
     # square (N = d), so that a transposed feature operand keeps its shape and
     # shows as a wrong gradient; row 0 and column 1 of the CSR x are all zero

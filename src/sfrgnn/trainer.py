@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AugmentationError, NumericError, ValidationError
-from .graph import CsrAdjacency, Graph, csr_from_edge_pairs, normalize_adjacency
+from .graph import CsrAdjacency, Graph, csr_from_edge_pairs, normalize_adjacency, sorted_contains
 from .nn import (
     AdamState,
     ModelParams,
@@ -84,14 +84,16 @@ ABLATION_RATE = 0.2  # corruption rate for the nd / er / fm contrastive views
 JACCARD_THRESHOLD = 0.01
 
 
-def check_count(value, name: str, minimum: int | None = None) -> None:
-    """Refuse a value that is not an integer >= `minimum` (any integer, such
-    as a seed, without one): Python and numpy integers pass, bools and
-    integral floats do not."""
+def check_count(value, name: str, minimum: int | None = None) -> int:
+    """The value as a Python int, so that reports serialize it; refuses one
+    that is not an integer >= `minimum` (any integer, such as a seed,
+    without one): Python and numpy integers pass, bools and integral floats
+    do not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}")
+    return int(value)
 
 
 @dataclass
@@ -108,9 +110,10 @@ class TrainConfig:
     precision: str | None = None  # "f32" | "f64"; None reads $SFR_PRECISION
 
     def validate(self) -> None:
-        check_count(self.hidden, "hidden", 1)
-        check_count(self.pretrain_epochs, "pretrain_epochs", 0)
-        check_count(self.finetune_epochs, "finetune_epochs", 0)
+        self.hidden = check_count(self.hidden, "hidden", 1)
+        self.pretrain_epochs = check_count(self.pretrain_epochs, "pretrain_epochs", 0)
+        self.finetune_epochs = check_count(self.finetune_epochs, "finetune_epochs", 0)
+        self.seed = check_count(self.seed, "seed")
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise ValidationError("lr must be finite and > 0")
         if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
@@ -193,7 +196,7 @@ class AugmentedFeatures:
             if override.dim != n:
                 raise ValidationError(f"view adjacency_override must have dimension {n}")
             override.validate()
-            if not np.isin(override.edge_keys(), g.adjacency.edge_keys()).all():
+            if not sorted_contains(g.adjacency.edge_keys(), override.edge_keys()).all():
                 raise ValidationError("view adjacency_override holds an edge the graph does not")
 
 
@@ -324,8 +327,8 @@ def internaa(g: Graph, rng: RngState, subsample_ratio: float = 1.0) -> Augmented
     request. The donor ids are logged per node so the mean is reconstructible.
     The view is a row patch: the selected rows and their float64 means, the
     bytes of `g.features[donors].mean(axis=0, dtype=np.float64)` (for d >= 2;
-    numpy sums a single column pairwise). Beyond the graph's cached feature
-    operand its peak stays under two |selected| x d float64 arrays.
+    numpy sums a single column pairwise). Its peak stays under an operand of
+    the training rows and two |selected| x d float64 arrays.
     """
     return _donor_augmentation(g, rng, subsample_ratio, inter_class=True)
 
@@ -355,19 +358,22 @@ def _donor_augmentation(
         sample_log[int(v)] = gen.choice(pool, size=num, replace=pool.shape[0] < num)
     replaced = np.zeros(g.num_nodes, dtype=bool)
     replaced[selected] = True
-    values = _donor_means(g, list(sample_log.values()))
+    values = _donor_means(g, train_ids, list(sample_log.values()))
     return AugmentedFeatures(selected, values, replaced, sample_log)
 
 
-def _donor_means(g: Graph, donor_sets: list[np.ndarray]) -> np.ndarray:
-    """The float64 mean of g's feature rows at each donor set, from the
-    graph's cached operand in its own dtype: one weighted bincount adds the
-    donors' stored entries in donor order, as numpy's mean over axis 0 adds
-    their rows, then divides by the donor count."""
-    operand = feature_operand(g.features, g.features.dtype, g.feature_operands)
+def _donor_means(g: Graph, train_ids: np.ndarray, donor_sets: list[np.ndarray]) -> np.ndarray:
+    """The float64 mean of g's feature rows at each donor set, all of them
+    training nodes (the ascending `train_ids`): one weighted bincount adds
+    the donors' stored entries in donor order, as numpy's mean over axis 0
+    adds their rows, then divides by the donor count. The entries come from
+    an operand of the training rows alone in the features' own dtype, built
+    here and not cached, so no whole-matrix operand of a second dtype is
+    kept on the graph."""
+    operand = feature_operand(g.features[train_ids], g.features.dtype)
     d = g.features.shape[1]
     counts = np.array([donors.shape[0] for donors in donor_sets])
-    rows = operand[np.concatenate(donor_sets)]
+    rows = operand[np.searchsorted(train_ids, np.concatenate(donor_sets))]
     if isinstance(rows, np.ndarray):  # a dense operand stores every entry
         per_row, cols = np.full(rows.shape[0], d), np.tile(np.arange(d), rows.shape[0])
         weights = rows.ravel()

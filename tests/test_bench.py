@@ -85,6 +85,21 @@ def test_random_attack_with_zero_budget_plan(sbm_dir):
         assert t.clean_acc == t.attacked_acc
 
 
+def test_numpy_counts_and_seeds_serialize_as_python_ints(sbm_dir):
+    cfg = TrainConfig(hidden=np.int64(4), pretrain_epochs=np.int32(2),
+                      finetune_epochs=np.int64(1), seed=np.int64(3))
+    spec = ExperimentSpec(dataset=str(sbm_dir), variants=["mlp"], repeats=np.int64(1),
+                          base_seed=np.int64(2), config=cfg)
+    back = json.loads(report_to_json(run_experiment(spec)))
+    counts = [back["spec"]["repeats"], back["spec"]["base_seed"]] + [
+        back["spec"]["config"][k] for k in ("hidden", "pretrain_epochs", "finetune_epochs", "seed")
+    ]
+    assert counts == [1, 2, 4, 2, 1, 3] and all(type(c) is int for c in counts)
+    timing = json.loads(report_to_json(bench_timing(sbm_dir, ["mlp"], repeats=np.int64(1),
+                                                    base_seed=np.int64(0), cfg=cfg)))
+    assert type(timing["repeats"]) is int
+
+
 def test_spec_validation(sbm_dir):
     with pytest.raises(ValidationError):
         ExperimentSpec(dataset=str(sbm_dir), variants=["gcn"], attack="random",

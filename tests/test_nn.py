@@ -471,6 +471,20 @@ def test_check_gradients_differentiates_the_trainers_objective(monkeypatch):
     assert not report.passed
 
 
+def test_check_gradients_sees_a_lost_patch_on_every_seed(monkeypatch):
+    # the patched-view case used to be blind on seeds 1, 15 and 19, where its
+    # 3 hidden units left the anchors' live hidden rows on one direction
+    real = trainer.patched_operand
+
+    def no_patch_positions(operand, rows, values, out_rows):
+        return real(operand, rows, values, out_rows)[0], np.empty(0, np.int64)
+
+    monkeypatch.setattr(trainer, "patched_operand", no_patch_positions)
+    for seed in range(20):
+        report = check_gradients(RngState(seed))
+        assert report.errors["finetune/contrastive_patched_view"] > report.threshold, seed
+
+
 def test_check_gradients_multiple_seeds():
     for seed in (1, 2, 3):
         assert check_gradients(RngState(seed)).passed

@@ -178,6 +178,15 @@ def test_internaa_peak_memory_is_bounded_by_its_patch():
     assert aug.rows.shape[0] == g.splits.train.sum() and peak < bound, (peak, bound)
 
 
+def test_internaa_keeps_no_float64_operand_of_float64_features():
+    g = sbm_graph([12, 12], p_in=0.4, p_out=0.05, seed=53, feature_dim=6,
+                  train_ratio=0.4, val_ratio=0.2)
+    assert g.features.dtype == np.float64
+    cfg = TrainConfig(pretrain_epochs=2, finetune_epochs=2, precision="f32")
+    train(g, cfg, "sfr", RngState(53))
+    assert set(g.feature_operands) == {np.dtype(np.float32)}
+
+
 def test_internaa_identical_donor_features_give_that_feature():
     feats = np.zeros((6, 3))
     feats[1:] = [1.0, 2.0, 3.0]  # every possible donor row is identical

@@ -138,28 +138,28 @@ def _flip_budget(g: Graph, ptb_ratio: float) -> int:
     return int(round(ptb_ratio * (g.adjacency.nnz // 2)))
 
 
-def _action_for(g: Graph, u: int, v: int) -> str:
-    return "remove" if g.adjacency.has_entry(u, v) else "add"
-
-
 def _random_fill(
     g: Graph, flips: list[tuple[str, int, int]], budget: int, gen: np.random.Generator
 ) -> list[tuple[str, int, int]]:
     """Extend `flips` (pairs stored u < v) to `budget` entries with uniformly
-    drawn non-self pairs it does not hold yet."""
+    drawn non-self pairs it does not hold yet: `remove` where g has the edge,
+    else `add`, labelled by one search of g's edge keys after the draws."""
     n = g.num_nodes
     if len(flips) >= budget:
         return flips
-    chosen = {(u, v) for _, u, v in flips}
-    while len(flips) < budget:
+    chosen = {u * n + v for _, u, v in flips}
+    drawn = []  # keys u * n + v with u < v, in draw order
+    while len(flips) + len(drawn) < budget:
         u, v = (int(x) for x in gen.integers(0, n, size=2))
         if u == v:
             continue
-        key = (min(u, v), max(u, v))
+        key = min(u, v) * n + max(u, v)
         if key in chosen:
             continue
         chosen.add(key)
-        flips.append((_action_for(g, *key), *key))
+        drawn.append(key)
+    edge = sorted_contains(g.adjacency.edge_keys(), np.array(drawn, dtype=np.int64))
+    flips += [("remove" if e else "add", *divmod(key, n)) for key, e in zip(drawn, edge.tolist())]
     return flips
 
 

@@ -37,14 +37,6 @@ ATTACKS = ("none", *ATTACK_METHODS, "external")
 WARMUP_EPOCHS = 5  # leading epochs of every stage that `bench_timing` drops
 
 
-def _validate_variants(variants: list[str]) -> None:
-    if not variants:
-        raise ValidationError("at least one variant is required")
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValidationError(f"unknown variant {v!r}; expected one of {VARIANTS}")
-
-
 @dataclass
 class ExperimentSpec:
     dataset: str
@@ -72,7 +64,11 @@ class ExperimentSpec:
                 f"attack={self.attack}: a plan file is required by, and only read with, "
                 "attack=external"
             )
-        _validate_variants(self.variants)
+        if not self.variants:
+            raise ValidationError("at least one variant is required")
+        for v in self.variants:
+            if v not in VARIANTS:
+                raise ValidationError(f"unknown variant {v!r}; expected one of {VARIANTS}")
         self.config.validate()
 
 
@@ -134,11 +130,11 @@ def _trial_threads() -> int:
     return int(raw)
 
 
-def environment_metadata(cfg: TrainConfig, g: Graph) -> dict:
-    """Versions, settings, usable CPUs, and the feature operand kind (`csr`
-    or `dense`, see `nn.feature_operand`) and nonzero share of the graph
-    trained on. `blas` is numpy's BLAS, name and version (`unknown` where
-    numpy does not say): a dense product's bits depend on it."""
+def environment_metadata(cfg: TrainConfig, g: Graph, threads: int) -> dict:
+    """Versions, settings, usable CPUs, trials run at once (`threads`), and
+    the feature operand kind (`csr` or `dense`, see `nn.feature_operand`) and
+    nonzero share of the graph trained on. `blas` is numpy's BLAS, name and
+    version (`unknown` where numpy does not say): a dense product's bits depend on it."""
     import scipy  # here, not at the top: importing sfrgnn does not load scipy
 
     operand = feature_operand(g.features, cfg.dtype, g.feature_operands)
@@ -156,7 +152,7 @@ def environment_metadata(cfg: TrainConfig, g: Graph) -> dict:
         "numpy": np.__version__,
         "precision": cfg.resolved_precision(),
         "scipy": scipy.__version__,
-        "threads": _trial_threads(),
+        "threads": threads,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -223,7 +219,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     config = replace(spec.config, precision=spec.config.resolved_precision())
     report = MetricsReport(
         spec=asdict(replace(spec, dataset=str(spec.dataset), config=config)),
-        environment=environment_metadata(spec.config, g_clean),
+        environment=environment_metadata(spec.config, g_clean, threads),
         trials=trials,
         aggregates=compute_aggregates(trials),
     )
@@ -288,15 +284,10 @@ def report_to_md(report: MetricsReport) -> str:
 
 def emit_report(report: MetricsReport, path: str | Path, fmt: str) -> None:
     report.verify_consistency()
-    if fmt == "json":
-        text = report_to_json(report)
-    elif fmt == "csv":
-        text = report_to_csv(report)
-    elif fmt == "md":
-        text = report_to_md(report)
-    else:
+    writers = {"json": report_to_json, "csv": report_to_csv, "md": report_to_md}
+    if fmt not in writers:
         raise ValidationError(f"unknown report format {fmt!r}")
-    Path(path).write_text(text)
+    Path(path).write_text(writers[fmt](report))
 
 
 def degree_preserving_shuffle(
@@ -327,6 +318,7 @@ class PairedEffectReport:
     seed: int
     drop_matched: list[float]  # percentage points, one entry per repeat
     drop_mismatched: list[float]
+    environment: dict = field(compare=False)  # where and when it ran, not what it found
     median_drop_matched: float
     median_drop_mismatched: float
     median_difference: float
@@ -380,6 +372,7 @@ def paired_effect_probe(
         seed=seed,
         drop_matched=drop_matched,
         drop_mismatched=drop_mismatched,
+        environment=environment_metadata(cfg, g, threads=1),
         median_drop_matched=med_m,
         median_drop_mismatched=med_x,
         median_difference=med_m - med_x,
@@ -403,44 +396,33 @@ def bench_timing(
     base_seed: int = 0,
     cfg: TrainConfig | None = None,
 ) -> TimingReport:
-    """Median and IQR ms/epoch per variant and stage, measured after dropping
-    `WARMUP_EPOCHS` leading epochs of every stage. Trials run sequentially so
-    measurements never overlap."""
-    repeats = check_count(repeats, "repeats", 1)
-    base_seed = check_count(base_seed, "base_seed")
-    _validate_variants(variants)
-    cfg = cfg or TrainConfig()
-    g = load_graph(dataset, split_seed=base_seed)
+    """Median and IQR ms/epoch per variant and stage over the trials of a
+    clean `run_experiment`, each stage's first `WARMUP_EPOCHS` epochs dropped.
+    SFR_THREADS above 1 is refused: timed trials must not overlap."""
+    if _trial_threads() > 1:
+        raise ValidationError("sfr bench times one trial at a time: SFR_THREADS must be 1")
+    report = run_experiment(ExperimentSpec(str(dataset), variants, repeats=repeats,
+                                           base_seed=base_seed, config=cfg or TrainConfig()))
     rows = []
     for variant in variants:
-        pooled: dict[str, list[float]] = {"pretrain": [], "finetune": []}
-        for r in range(repeats):
-            seed = derive_trial_seed(base_seed, f"timing-{variant}", r)
-            model = train(g, cfg, variant, RngState(seed))
-            for stage_name, stage in (
-                ("pretrain", model.history.pretrain),
-                ("finetune", model.history.finetune),
-            ):
-                if stage.epochs > WARMUP_EPOCHS:
-                    pooled[stage_name].extend(stage.epoch_ms[WARMUP_EPOCHS:])
-        for stage_name, ms in pooled.items():
-            if not ms:
-                continue
-            arr = np.array(ms)
-            q25, q75 = np.percentile(arr, [25, 75])
-            rows.append(
-                {
-                    "variant": variant,
-                    "stage": stage_name,
-                    "median_ms": float(np.median(arr)),
-                    "iqr_ms": float(q75 - q25),
-                    "epochs": int(arr.shape[0]),
-                }
-            )
+        trials = [t for t in report.trials if t.variant == variant]
+        for stage in ("pretrain", "finetune"):
+            ms = [x for t in trials for x in getattr(t.history, stage).epoch_ms[WARMUP_EPOCHS:]]
+            if ms:
+                q25, q75 = np.percentile(ms, [25, 75])
+                rows.append(
+                    {
+                        "variant": variant,
+                        "stage": stage,
+                        "median_ms": float(np.median(ms)),
+                        "iqr_ms": float(q75 - q25),
+                        "epochs": len(ms),
+                    }
+                )
     return TimingReport(
         dataset=str(dataset),
-        repeats=repeats,
+        repeats=report.spec["repeats"],
         warmup_epochs=WARMUP_EPOCHS,
-        environment=environment_metadata(cfg, g),
+        environment=report.environment,
         rows=rows,
     )

@@ -8,8 +8,9 @@ replays it; the `grad` surrogate trains at the default config, whatever the
 training flags.
 Exit codes: 0 success, 1 validation error (bad flags, flags the run would not
 read such as `--plan` without `--attack external` or `--ptb` with it, unknown
-variant names, config values, env vars, dataset or plan files, an `--out`
-that cannot be written), 2 numeric error, 3 capacity error.
+variant names, config values, env vars or SFR_THREADS > 1 for `sfr bench`,
+dataset or plan files, an `--out` that cannot be written), 2 numeric error,
+3 capacity error (a size cap, or an allocation that runs out of memory).
 Env vars: SFR_THREADS (trial-level parallelism, a positive integer),
 SFR_PRECISION (f32|f64).
 """
@@ -33,7 +34,7 @@ from .bench import (
     report_to_json,
     run_experiment,
 )
-from .errors import SfrError, ValidationError
+from .errors import CapacityError, SfrError, ValidationError
 from .graph import load_graph
 from .nn import check_gradients
 from .rng import RngState
@@ -202,6 +203,8 @@ def main(argv: list[str] | None = None) -> int:
             if out is None or exc.filename is None or Path(exc.filename) != Path(out):
                 raise
             raise ValidationError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+        except MemoryError as exc:  # an allocation the sizes ask for, e.g. --hidden 10**12
+            raise CapacityError(f"out of memory: {exc}") from exc
     except SfrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

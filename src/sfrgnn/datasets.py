@@ -10,8 +10,8 @@ a citation line that does not hold exactly two ids is a DatasetFormatError.
 
 from __future__ import annotations
 
+import io
 import tarfile
-import tempfile
 import urllib.request
 from pathlib import Path
 
@@ -41,18 +41,25 @@ def download_cora(raw_dir: str | Path) -> Path:
     last_error: Exception | None = None
     for url in CORA_URLS:
         try:
-            with tempfile.NamedTemporaryFile(suffix=".tgz") as tmp:
-                with urllib.request.urlopen(url, timeout=60) as resp:
-                    tmp.write(resp.read())
-                tmp.flush()
-                with tarfile.open(tmp.name, "r:gz") as tar:
-                    tar.extractall(raw_dir)
+            with urllib.request.urlopen(url, timeout=60) as resp:
+                _unpack(resp.read(), raw_dir)
             found = find_raw_cora(raw_dir)
             if found is not None:
                 return found
         except Exception as exc:  # try the next mirror
             last_error = exc
     raise DatasetFormatError(f"could not download the raw cora archive: {last_error}")
+
+
+def _unpack(archive: bytes, raw_dir: Path) -> None:
+    """Unpack a .tgz into `raw_dir`, refusing links and members that leave it."""
+    root = raw_dir.resolve()
+    with tarfile.open(fileobj=io.BytesIO(archive), mode="r:gz") as tar:
+        for info in tar.getmembers():
+            path = (root / info.name).resolve()
+            if info.issym() or info.islnk() or not path.is_relative_to(root):
+                raise DatasetFormatError(f"archive member {info.name!r}: a link or outside {root}")
+        tar.extractall(raw_dir, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
 def find_raw_cora(raw_dir: str | Path) -> Path | None:

@@ -337,9 +337,16 @@ def feature_matrix(rows: list, name: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def _int64(token: str) -> int:
+    value = int(token)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} lies outside int64")
+    return value
+
+
 def _edge(line: str) -> tuple[int, int]:
     u, v = line.split()  # a ValueError unless the line holds two tokens
-    return int(u), int(v)
+    return _int64(u), _int64(v)
 
 
 def _load_features(dataset_dir: Path) -> np.ndarray:
@@ -372,9 +379,12 @@ def _read_json(path: Path) -> dict:
     return obj
 
 
-def _json_int(value, what: str) -> int:
+def _json_int(value, what: str, stop: int) -> int:
+    """`value`, which must be a JSON integer in [0, stop)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DatasetFormatError(f"{what} must be an integer, got {value!r}")
+    if not 0 <= value < stop:
+        raise DatasetFormatError(f"{what} {value} lies outside [0, {stop})")
     return value
 
 
@@ -397,7 +407,7 @@ def load_graph(dataset_dir: str | Path, split_seed: int = 0) -> Graph:
     if bad.shape[0]:
         raise DatasetFormatError(f"features row {bad[0]} holds a non-finite value")
 
-    labels = np.asarray(read_records(dataset_dir / "labels.tsv", int), dtype=np.int64)
+    labels = np.asarray(read_records(dataset_dir / "labels.tsv", _int64), dtype=np.int64)
     if labels.shape[0] != n:
         raise DatasetFormatError(
             f"labels.tsv has {labels.shape[0]} rows but features describe {n} nodes"
@@ -413,7 +423,7 @@ def load_graph(dataset_dir: str | Path, split_seed: int = 0) -> Graph:
         meta = _read_json(meta_path)
         name = meta.get("name", name)
         if "num_classes" in meta:
-            num_classes = _json_int(meta["num_classes"], "meta.json num_classes")
+            num_classes = _json_int(meta["num_classes"], "meta.json num_classes", n + 1)
 
     splits_path = dataset_dir / "splits.json"
     if splits_path.is_file():
@@ -425,11 +435,7 @@ def load_graph(dataset_dir: str | Path, split_seed: int = 0) -> Graph:
             m = np.zeros(n, dtype=bool)
             if not isinstance(spec[key], list):
                 raise DatasetFormatError(f"splits.json {key!r} must be a list of node ids")
-            ids = np.asarray(
-                [_json_int(i, f"splits.json {key} id") for i in spec[key]], dtype=np.int64
-            )
-            if ids.shape[0] and (ids.min() < 0 or ids.max() >= n):
-                raise ValidationError("splits.json node id out of range")
+            ids = [_json_int(i, f"splits.json {key} id", n) for i in spec[key]]
             m[ids] = True
             masks[key] = m
         splits = SplitMasks(**masks)

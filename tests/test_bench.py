@@ -1,5 +1,7 @@
+import ast
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +305,68 @@ def test_bench_timing_structure(tmp_path):
             assert r["epochs"] == 2 * (30 - 5)
         else:
             assert r["epochs"] == 2 * (10 - 5)
+
+
+def test_bench_timing_rows_come_from_run_experiment(sbm_dir, monkeypatch):
+    variants, cfg = ["sfr", "mlp"], TrainConfig(pretrain_epochs=12, finetune_epochs=8)
+    reports = []
+    real = bench.run_experiment
+    monkeypatch.setattr(bench, "run_experiment",
+                        lambda spec: reports.append(real(spec)) or reports[-1])
+    timing = bench_timing(sbm_dir, variants, repeats=2, base_seed=3, cfg=cfg)
+    (report,) = reports
+    # the rows, recomputed from the report by pooling each variant's trials
+    want = []
+    for variant in variants:
+        pooled = {"pretrain": [], "finetune": []}
+        for t in report.trials:
+            if t.variant == variant:
+                for stage, record in (("pretrain", t.history.pretrain),
+                                      ("finetune", t.history.finetune)):
+                    if record.epochs > bench.WARMUP_EPOCHS:
+                        pooled[stage].extend(record.epoch_ms[bench.WARMUP_EPOCHS:])
+        for stage, ms in pooled.items():
+            if ms:
+                q25, q75 = np.percentile(np.array(ms), [25, 75])
+                want.append({"variant": variant, "stage": stage, "median_ms": float(np.median(ms)),
+                             "iqr_ms": float(q75 - q25), "epochs": len(ms)})
+    assert timing.rows == want
+    assert [(r["variant"], r["stage"], r["epochs"]) for r in timing.rows] == [
+        ("sfr", "pretrain", 14), ("sfr", "finetune", 6), ("mlp", "pretrain", 14),
+    ]
+    assert (timing.repeats, timing.environment) == (2, report.environment)
+    # that report is the run of the same spec: its trials, seeds and accuracies
+    spec = ExperimentSpec(str(sbm_dir), variants, repeats=2, base_seed=3, config=cfg)
+    direct = run_experiment(spec)
+    assert report.spec == direct.spec
+    assert [without_epoch_ms(asdict(t)) for t in report.trials] == [
+        without_epoch_ms(asdict(t)) for t in direct.trials
+    ]
+    assert [t.seed for t in report.trials] == [
+        derive_trial_seed(3, v, r) for r in range(2) for v in variants
+    ]
+
+
+# the functions of bench.py that may call `train`, each with why; every
+# other trial runs through `_run_trial`, so one loop sets seeds and trains
+TRAIN_CALLERS = {
+    "_run_trial": "the one experiment trial, which run_experiment and bench_timing run",
+    "paired_effect_probe": "trains on degree-shuffled features, a graph no dataset holds",
+}
+
+
+def test_only_the_trial_and_the_probe_call_train():
+    tree = ast.parse(Path(bench.__file__).read_text())
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and "train" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    new_callers = callers - set(TRAIN_CALLERS)
+    assert not new_callers, f"run trials through _run_trial, not train: {new_callers}"
+    gone = set(TRAIN_CALLERS) - callers
+    assert not gone, f"allowed callers that no longer call train: {gone}"
+    assert all(reason for reason in TRAIN_CALLERS.values())

@@ -364,3 +364,49 @@ def test_out_write_error_exits_one(dataset, tmp_path, monkeypatch, capsys):
                "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: cannot write --out {out}: No space left on device\n"
+
+
+def test_out_of_memory_exits_three(dataset, tmp_path, monkeypatch, capsys):
+    # numpy's allocation error for a size such as --hidden 1000000000000
+    import sfrgnn.bench as bench_mod
+
+    def huge(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000, 2)")
+
+    monkeypatch.setattr(bench_mod, "train", huge)
+    rc = main(_train_args(dataset, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: out of memory: Unable to allocate") and "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_bench_refuses_overlapping_trials(dataset, tmp_path, monkeypatch, capsys):
+    import sfrgnn.bench as bench_mod
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(bench_mod, "train", no_trial)
+    monkeypatch.setenv("SFR_THREADS", "2")
+    out = tmp_path / "timing.json"
+    rc = main(["bench", "--dataset", str(dataset), "--variants", "mlp", "--repeats", "1",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "SFR_THREADS must be 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_paired_effect_report_records_its_environment(dataset, tmp_path, monkeypatch):
+    monkeypatch.setenv("SFR_THREADS", "2")  # its trials run one at a time whatever this says
+    out = tmp_path / "pe.json"
+    assert main(["paired-effect", "--dataset", str(dataset), "--ptb", "0.1", "--repeats", "1",
+                 "--out", str(out)]) == 0
+    env = json.loads(out.read_text())["environment"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        blas = "unknown"
+    assert env["blas"].startswith(blas) and env["numpy"] == np.__version__
+    assert env["threads"] == 1

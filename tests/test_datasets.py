@@ -1,11 +1,14 @@
+import io
 import subprocess
 import sys
+import tarfile
+import urllib.request
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sfrgnn.datasets import find_raw_cora, prepare_cora
+from sfrgnn.datasets import download_cora, find_raw_cora, prepare_cora
 from sfrgnn.errors import DatasetFormatError
 from sfrgnn.graph import graph_stats, load_graph, write_graph
 
@@ -86,3 +89,49 @@ def test_fetch_script_reports_format_errors_without_a_traceback(tmp_path):
     assert done.returncode == DatasetFormatError.exit_code == 1
     assert done.stderr.startswith("error: ") and "line 0: could not convert" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def tgz(members):
+    """A gzipped tarball of (name, bytes) files and (name, "->", target) links."""
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w:gz") as tar:
+        for name, *rest in members:
+            info = tarfile.TarInfo(name)
+            if rest[0] == "->":
+                info.type, info.linkname = tarfile.SYMTYPE, rest[1]
+                tar.addfile(info)
+            else:
+                info.size = len(rest[0])
+                tar.addfile(info, io.BytesIO(rest[0]))
+    return buf.getvalue()
+
+
+def serve(monkeypatch, archive):
+    monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: io.BytesIO(archive))
+
+
+@pytest.mark.parametrize("escape", [
+    [("cora/cora.content", b""), ("cora/cora.cites", b""), ("../escape", b"x")],
+    [("cora/cora.content", b""), ("cora/cora.cites", b""), ("link", "->", ".."),
+     ("link/escape", b"x")],
+], ids=["dotdot", "symlink"])
+def test_download_refuses_members_outside_the_raw_dir(tmp_path, monkeypatch, escape):
+    serve(monkeypatch, tgz(escape))
+    raw_dir = tmp_path / "raw"
+    with pytest.raises(DatasetFormatError, match="could not download"):
+        download_cora(raw_dir)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["raw"]
+    assert not (raw_dir / "link").exists()
+
+
+@pytest.mark.parametrize("filters", [True, False], ids=["tarfile-filters", "no-filters"])
+def test_download_unpacks_the_archive(tmp_path, monkeypatch, filters):
+    if not filters:  # tarfile before Python 3.10.12 and 3.11.4
+        monkeypatch.delattr(tarfile, "data_filter", raising=False)
+    raw = tmp_path / "fixture"
+    write_raw_citation_fixture(raw)
+    serve(monkeypatch, tgz([(f"cora/{name}", (raw / name).read_bytes())
+                            for name in ("cora.content", "cora.cites")]))
+    found = download_cora(tmp_path / "raw")
+    assert found == tmp_path / "raw" / "cora"
+    assert (found / "cora.cites").read_bytes() == (raw / "cora.cites").read_bytes()

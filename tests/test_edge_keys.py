@@ -21,7 +21,7 @@ from sfrgnn.attacks import (
     random_flip_attack,
 )
 from sfrgnn.errors import ValidationError
-from sfrgnn.graph import Graph, SplitMasks, csr_from_edge_pairs, unique_keys
+from sfrgnn.graph import CsrAdjacency, Graph, SplitMasks, csr_from_edge_pairs, unique_keys
 from sfrgnn.rng import RngState
 from sfrgnn.synth import sbm_graph
 
@@ -49,6 +49,21 @@ def reference_validate(plan, g):
             raise ValidationError(f"plan removes absent edge {key}")
         if action == "add" and present:
             raise ValidationError(f"plan adds existing edge {key}")
+
+
+def reference_random_fill(g, flips, budget, gen):
+    """`_random_fill` as a loop that labels each draw with `has_entry`."""
+    chosen = {(u, v) for _, u, v in flips}
+    while len(flips) < budget:
+        u, v = (int(x) for x in gen.integers(0, g.num_nodes, size=2))
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in chosen:
+            continue
+        chosen.add(key)
+        flips.append(("remove" if g.adjacency.has_entry(*key) else "add", *key))
+    return flips
 
 
 def reference_dice(g, ptb_ratio, rng):
@@ -79,7 +94,7 @@ def reference_dice(g, ptb_ratio, rng):
         for idx in gen.choice(addition_pool.shape[0], size=n_add, replace=False):
             u, v = (int(x) for x in addition_pool[idx])
             flips.append(("add", u, v))
-    flips = _random_fill(g, flips, budget, gen)
+    flips = reference_random_fill(g, flips, budget, gen)
     return PerturbationPlan(flips=flips, budget=budget, ptb_ratio=ptb_ratio)
 
 
@@ -219,6 +234,27 @@ def test_blocked_dice_equals_the_grid(name, g, monkeypatch):
                 got = dice_attack(g, ptb, RngState(seed))
                 assert got == want, (name, block, ptb, seed)
                 got.validate_against(g)
+
+
+@pytest.mark.parametrize("name, g", list(dice_graphs()))
+def test_random_fill_equals_the_loop(name, g, monkeypatch):
+    """Random plans equal the loop's, pair by pair and action by action; DICE's
+    fallback to random flips is checked against it in the test above."""
+    for ptb in (0.1, 0.3, 0.5):
+        for seed in (0, 1, 2):
+            budget = _flip_budget(g, ptb)
+            gen = RngState(seed).substream("random-flips").generator()
+            want = reference_random_fill(g, [], budget, gen)
+            got = random_flip_attack(g, ptb, RngState(seed))
+            assert got.flips == want, (name, ptb, seed)
+            assert all(type(i) is int for _, u, v in got.flips for i in (u, v))
+
+    def no_keys(self):
+        raise AssertionError("edge keys built for a plan that is already full")
+
+    monkeypatch.setattr(CsrAdjacency, "edge_keys", no_keys)
+    full = [("add", 0, 1)]
+    assert _random_fill(g, full, 1, np.random.default_rng(0)) == [("add", 0, 1)]
 
 
 def dice_scale_graph(n, t, e, seed):

@@ -95,6 +95,31 @@ def test_bad_line_is_reported_with_its_file_and_index_counting_blank_lines(tmp_p
     assert str(info.value).startswith(f"{d / 'labels.tsv'}: line 2: invalid literal")
 
 
+BEYOND_INT64 = 10**30
+
+
+@pytest.mark.parametrize("name, message", [
+    ("edges.tsv", f"edges.tsv: line 2: {BEYOND_INT64} lies outside int64"),
+    ("labels.tsv", f"labels.tsv: line 3: {BEYOND_INT64} lies outside int64"),
+    ("splits.json", rf"splits.json train id {BEYOND_INT64} lies outside \[0, 3\)"),
+    ("meta.json", rf"meta.json num_classes {BEYOND_INT64} lies outside \[0, 4\)"),
+], ids=["edges", "labels", "splits", "meta"])
+def test_integer_beyond_int64_is_format_error(tmp_path, name, message):
+    edges, labels = ["0\t1", "1\t2"], ["0", "1", "0"]
+    meta, splits = {"num_classes": 2}, {"train": [0], "val": [1], "test": [2]}
+    if name == "edges.tsv":
+        edges.append(f"{BEYOND_INT64}\t1")
+    elif name == "labels.tsv":
+        labels.append(str(BEYOND_INT64))
+    elif name == "splits.json":
+        splits["train"].append(BEYOND_INT64)
+    else:
+        meta["num_classes"] = BEYOND_INT64
+    d = write_dataset(tmp_path, edges, ["1.0", "2.0", "3.0"], labels, meta=meta, splits=splits)
+    with pytest.raises(DatasetFormatError, match=message):
+        load_graph(d)
+
+
 def test_load_splits_must_partition(tmp_path):
     d = write_dataset(
         tmp_path,

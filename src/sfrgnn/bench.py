@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,7 +24,6 @@ from .attacks import (
     PerturbationPlan,
     apply_perturbation,
     load_plan,
-    sgc_gradient_attack,
 )
 from .errors import SfrError, ValidationError
 from .graph import Graph, load_graph
@@ -69,6 +67,8 @@ class ExperimentSpec:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValidationError(f"unknown variant {v!r}; expected one of {VARIANTS}")
+            if self.variants.count(v) > 1:
+                raise ValidationError(f"variant {v!r} is named twice")
         self.config.validate()
 
 
@@ -122,19 +122,11 @@ class MetricsReport:
             raise SfrError("report aggregates do not match their per-trial rows")
 
 
-def _trial_threads() -> int:
-    """Trial-level parallelism from $SFR_THREADS (default 1)."""
-    raw = os.environ.get("SFR_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValidationError(f"SFR_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def environment_metadata(cfg: TrainConfig, g: Graph, threads: int) -> dict:
-    """Versions, settings, usable CPUs, trials run at once (`threads`), and
-    the feature operand kind (`csr` or `dense`, see `nn.feature_operand`) and
-    nonzero share of the graph trained on. `blas` is numpy's BLAS, name and
-    version (`unknown` where numpy does not say): a dense product's bits depend on it."""
+def environment_metadata(cfg: TrainConfig, g: Graph) -> dict:
+    """Versions, settings, usable CPUs, and the feature operand kind (`csr` or
+    `dense`, see `nn.feature_operand`) and nonzero share of the graph trained
+    on. `blas` is numpy's BLAS, name and version (`unknown` where numpy does
+    not say): a dense product's bits depend on it."""
     import scipy  # here, not at the top: importing sfrgnn does not load scipy
 
     operand = feature_operand(g.features, cfg.dtype, g.feature_operands)
@@ -152,7 +144,6 @@ def environment_metadata(cfg: TrainConfig, g: Graph, threads: int) -> dict:
         "numpy": np.__version__,
         "precision": cfg.resolved_precision(),
         "scipy": scipy.__version__,
-        "threads": threads,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -186,9 +177,10 @@ def _run_trial(
 
 def run_experiment(spec: ExperimentSpec) -> MetricsReport:
     """Load, attack (once per repeat, or once for an external plan), train
-    every variant, aggregate."""
+    every variant, aggregate. Trials run one at a time in the calling thread,
+    repeat by repeat: each repeat's graph is poisoned after the previous
+    repeat's trials."""
     spec.validate()
-    threads = _trial_threads()
     g_clean = load_graph(spec.dataset, split_seed=spec.base_seed)
 
     def poisoned(plan: PerturbationPlan | None) -> tuple[bool, Graph]:
@@ -198,7 +190,7 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
 
     if spec.attack not in ATTACK_METHODS:  # one graph serves every repeat
         shared = poisoned(load_plan(spec.plan_path) if spec.attack == "external" else None)
-    tasks = []
+    trials = []
     for repeat in range(spec.repeats):
         if spec.attack in ATTACK_METHODS:
             attacked, g_trial = poisoned(
@@ -207,19 +199,13 @@ def run_experiment(spec: ExperimentSpec) -> MetricsReport:
         else:
             attacked, g_trial = shared
         for variant in spec.variants:
-            tasks.append((g_trial, g_clean, attacked, variant, repeat))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trials = list(pool.map(lambda t: _run_trial(*t, spec), tasks))
-    else:
-        trials = [_run_trial(*t, spec) for t in tasks]
+            trials.append(_run_trial(g_trial, g_clean, attacked, variant, repeat, spec))
 
     # the dataset as a string and the precision resolved, as the run used it
     config = replace(spec.config, precision=spec.config.resolved_precision())
     report = MetricsReport(
         spec=asdict(replace(spec, dataset=str(spec.dataset), config=config)),
-        environment=environment_metadata(spec.config, g_clean, threads),
+        environment=environment_metadata(spec.config, g_clean),
         trials=trials,
         aggregates=compute_aggregates(trials),
     )
@@ -335,7 +321,9 @@ def paired_effect_probe(
     """Gradient-attack the graph against its true attributes, then compare the
     accuracy drop of a GCN trained with those attributes against the drop with
     degree-preservingly shuffled attributes (each relative to its own clean
-    baseline)."""
+    baseline). Repeat r's plan is `repeat_plan(g, "grad", ptb_ratio, seed, r)`,
+    the one `sfr train --attack grad` trains on; `cfg` configures the GCNs
+    trained on it, not the attack's surrogate."""
     repeats = check_count(repeats, "repeats", 1)
     seed = check_count(seed, "seed")
     cfg = cfg or TrainConfig()
@@ -346,8 +334,7 @@ def paired_effect_probe(
     drop_matched: list[float] = []
     drop_mismatched: list[float] = []
     for r in range(repeats):
-        plan = sgc_gradient_attack(g, ptb_ratio, cfg, base.substream(f"pe-attack-{r}"))
-        g_att = apply_perturbation(g, plan)
+        g_att = apply_perturbation(g, repeat_plan(g, "grad", ptb_ratio, seed, r))
         shuffled = degree_preserving_shuffle(g.features, degrees, base.substream(f"pe-shuffle-{r}"))
         g_shuf = Graph(
             features=shuffled, adjacency=g.adjacency, labels=g.labels,
@@ -372,7 +359,7 @@ def paired_effect_probe(
         seed=seed,
         drop_matched=drop_matched,
         drop_mismatched=drop_mismatched,
-        environment=environment_metadata(cfg, g, threads=1),
+        environment=environment_metadata(cfg, g),
         median_drop_matched=med_m,
         median_drop_mismatched=med_x,
         median_difference=med_m - med_x,
@@ -397,10 +384,7 @@ def bench_timing(
     cfg: TrainConfig | None = None,
 ) -> TimingReport:
     """Median and IQR ms/epoch per variant and stage over the trials of a
-    clean `run_experiment`, each stage's first `WARMUP_EPOCHS` epochs dropped.
-    SFR_THREADS above 1 is refused: timed trials must not overlap."""
-    if _trial_threads() > 1:
-        raise ValidationError("sfr bench times one trial at a time: SFR_THREADS must be 1")
+    clean `run_experiment`, each stage's first `WARMUP_EPOCHS` epochs dropped."""
     report = run_experiment(ExperimentSpec(str(dataset), variants, repeats=repeats,
                                            base_seed=base_seed, config=cfg or TrainConfig()))
     rows = []

@@ -8,11 +8,10 @@ replays it; the `grad` surrogate trains at the default config, whatever the
 training flags.
 Exit codes: 0 success, 1 validation error (bad flags, flags the run would not
 read such as `--plan` without `--attack external` or `--ptb` with it, unknown
-variant names, config values, env vars or SFR_THREADS > 1 for `sfr bench`,
-dataset or plan files, an `--out` that cannot be written), 2 numeric error,
-3 capacity error (a size cap, or an allocation that runs out of memory).
-Env vars: SFR_THREADS (trial-level parallelism, a positive integer),
-SFR_PRECISION (f32|f64).
+or repeated variant names, config values, env vars, dataset or plan files,
+an `--out` that cannot be written), 2 numeric error, 3 capacity error (a size
+cap, or an allocation that runs out of memory).
+Env vars: SFR_PRECISION (f32|f64).
 """
 
 from __future__ import annotations

@@ -43,6 +43,9 @@ class CsrAdjacency:
     cols: int | None = None  # column count of a rectangular block; None: dim
     # scipy forms of this matrix and its transpose by (dtype, transpose), filled by `nn.spmm`
     scipy_by_dtype: dict = field(default_factory=dict, repr=False, compare=False)
+    # the read-only `edge_keys()`, filled by its first call; no code writes a
+    # CSR's arrays after building it
+    _edge_keys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def nnz(self) -> int:
@@ -103,9 +106,14 @@ class CsrAdjacency:
         return dense
 
     def edge_keys(self) -> np.ndarray:
-        """The undirected edges as ascending int64 keys u * n + v with u < v."""
-        rows = self.entry_rows()
-        return (rows * self.dim + self.col_indices)[rows < self.col_indices]
+        """The undirected edges as ascending int64 keys u * n + v with u < v,
+        built once per matrix and returned read-only."""
+        if self._edge_keys is None:
+            rows = self.entry_rows()
+            keys = (rows * self.dim + self.col_indices)[rows < self.col_indices]
+            keys.flags.writeable = False
+            self._edge_keys = keys
+        return self._edge_keys
 
     def edge_pairs(self) -> np.ndarray:
         """Undirected edges as an (E, 2) array with u < v in each row, in key order."""
@@ -174,6 +182,10 @@ class Graph:
         return int(self.features.shape[0])
 
     def validate(self) -> None:
+        if self.features.ndim != 2 or self.features.shape[1] < 1:
+            raise ValidationError(
+                f"features must be an N x d matrix with d >= 1, got shape {self.features.shape}"
+            )
         n = self.num_nodes
         if self.adjacency.dim != n:
             raise ValidationError("adjacency dimension != number of feature rows")

@@ -1,5 +1,6 @@
 import ast
 import json
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -55,17 +56,30 @@ def test_run_experiment_bookkeeping(sbm_dir):
     assert agg["clean_test_std"] == pytest.approx(float(accs.std()))  # population std
 
 
-@pytest.mark.parametrize("threads", ["2", "3"])
-def test_threaded_trials_match_serial(sbm_dir, monkeypatch, threads):
-    spec = ExperimentSpec(dataset=str(sbm_dir), variants=["mlp", "gcn", "sfr"],
-                          attack="dice", ptb_ratio=0.1, repeats=2, base_seed=6,
-                          config=quick_cfg())
+def test_trials_run_in_the_calling_thread_repeat_by_repeat(sbm_dir, monkeypatch):
+    events = []
 
-    def trials(value):
-        monkeypatch.setenv("SFR_THREADS", value)
-        return [without_epoch_ms(asdict(t)) for t in run_experiment(spec).trials]
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            events.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(bench, name, wrapped)
 
-    assert trials(threads) == trials("1")
+    spy("apply_perturbation", bench.apply_perturbation)
+    spy("train", bench.train)
+    spec = ExperimentSpec(dataset=str(sbm_dir), variants=["mlp", "gcn"], attack="dice",
+                          ptb_ratio=0.1, repeats=3, base_seed=6, config=quick_cfg())
+    report = run_experiment(spec)
+    # each repeat's graph is poisoned after the previous repeat's trials
+    assert [name for name, _ in events] == ["apply_perturbation", "train", "train"] * 3
+    assert {ident for _, ident in events} == {threading.get_ident()}
+    assert [(t.variant, t.repeat) for t in report.trials] == [
+        (v, r) for r in range(3) for v in ("mlp", "gcn")
+    ]
+    assert sorted(report.environment) == [
+        "blas", "cpu_count", "feature_density", "feature_operand", "numpy", "precision",
+        "scipy", "timestamp",
+    ]
 
 
 def test_attack_none_clean_equals_attacked(sbm_dir):
@@ -257,6 +271,22 @@ def test_paired_effect_deterministic(sbm_dir):
     a = paired_effect_probe(sbm_dir, ptb_ratio=0.1, repeats=2, seed=16, cfg=quick_cfg())
     b = paired_effect_probe(sbm_dir, ptb_ratio=0.1, repeats=2, seed=16, cfg=quick_cfg())
     assert a == b
+
+
+def test_paired_effect_trains_on_the_experiments_grad_plans(sbm_dir, monkeypatch):
+    applied = []
+
+    def spy(g, plan):
+        applied.append(plan.flips)
+        return apply_perturbation(g, plan)
+
+    monkeypatch.setattr(bench, "apply_perturbation", spy)
+    paired_effect_probe(sbm_dir, ptb_ratio=0.1, repeats=2, seed=17, cfg=quick_cfg())
+    # the plans `sfr train --attack grad --seed 17` trains on, whatever the probe's cfg
+    g = load_graph(sbm_dir, split_seed=17)
+    assert applied[0] and applied == [
+        bench.repeat_plan(g, "grad", 0.1, 17, r).flips for r in range(2)
+    ]
 
 
 @pytest.mark.parametrize("sparse", [False, True])

@@ -1,9 +1,13 @@
 import json
+import re
 import shutil
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sfrgnn
 from sfrgnn.cli import main
 from sfrgnn.graph import write_graph
 from sfrgnn.synth import sbm_graph
@@ -244,6 +248,20 @@ def test_malformed_json_dataset_file_exits_one(dataset, tmp_path, capsys, name):
     assert f"{name} is not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["sfr", "mlp"])
+def test_features_without_columns_exit_one(dataset, tmp_path, capsys, variant):
+    copy = tmp_path / "copy"
+    shutil.copytree(dataset, copy)
+    n = len((copy / "labels.tsv").read_text().split())
+    (copy / "features.f32le").write_bytes(struct.pack("<II", n, 0))  # n rows, no columns
+    rc = main(_train_args(copy, tmp_path, "--variant", variant))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: features must be an N x d matrix with d >= 1")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("name", ["labels.tsv", "edges.tsv", "features.tsv", "plan.tsv"])
 def test_non_utf8_text_input_exits_one(dataset, tmp_path, capsys, name):
     copy = tmp_path / "copy"
@@ -260,13 +278,6 @@ def test_non_utf8_text_input_exits_one(dataset, tmp_path, capsys, name):
     assert f"{target}: " in err and "line 1: 'utf-8' codec can't decode" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.json").exists()
-
-
-def test_non_integer_sfr_threads_exits_one(dataset, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SFR_THREADS", "abc")
-    rc = main(_train_args(dataset, tmp_path))
-    assert rc == 1
-    assert "SFR_THREADS must be a positive integer" in capsys.readouterr().err
 
 
 def test_zero_hidden_units_exits_one(dataset, tmp_path, capsys):
@@ -311,6 +322,7 @@ def test_flag_the_run_would_not_read_exits_one(dataset, tmp_path, capsys, extra,
 @pytest.mark.parametrize("variants, message", [
     ("sfr,foo", "unknown variant 'foo'"),
     (",", "at least one variant is required"),
+    ("mlp,mlp", "variant 'mlp' is named twice"),
 ])
 def test_bad_bench_variant_list_exits_one(dataset, tmp_path, capsys, variants, message):
     out = tmp_path / "timing.json"
@@ -381,25 +393,7 @@ def test_out_of_memory_exits_three(dataset, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_bench_refuses_overlapping_trials(dataset, tmp_path, monkeypatch, capsys):
-    import sfrgnn.bench as bench_mod
-
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(bench_mod, "train", no_trial)
-    monkeypatch.setenv("SFR_THREADS", "2")
-    out = tmp_path / "timing.json"
-    rc = main(["bench", "--dataset", str(dataset), "--variants", "mlp", "--repeats", "1",
-               "--out", str(out)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "SFR_THREADS must be 1" in err and "Traceback" not in err
-    assert not out.exists()
-
-
-def test_paired_effect_report_records_its_environment(dataset, tmp_path, monkeypatch):
-    monkeypatch.setenv("SFR_THREADS", "2")  # its trials run one at a time whatever this says
+def test_paired_effect_report_records_its_environment(dataset, tmp_path):
     out = tmp_path / "pe.json"
     assert main(["paired-effect", "--dataset", str(dataset), "--ptb", "0.1", "--repeats", "1",
                  "--out", str(out)]) == 0
@@ -409,4 +403,19 @@ def test_paired_effect_report_records_its_environment(dataset, tmp_path, monkeyp
     except (TypeError, KeyError):
         blas = "unknown"
     assert env["blas"].startswith(blas) and env["numpy"] == np.__version__
-    assert env["threads"] == 1
+
+
+ENV_READ = re.compile(r"""os\.(?:environ\.get\(|environ\[|getenv\()\s*["'](\w+)["']""")
+
+
+def test_every_env_var_read_is_a_row_of_the_readme_table():
+    src = Path(sfrgnn.__file__).resolve().parent
+    text = "\n".join(path.read_text() for path in sorted(src.glob("*.py")))
+    reads = ENV_READ.findall(text)
+    # each access names its variable as a literal, so the scan sees every one
+    assert len(reads) == len(re.findall(r"\b(?:environ|getenv)\b", text))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Environment variables\n", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `(\w+)`", table, flags=re.MULTILINE))
+    # a row that nothing reads documents a knob that does nothing
+    assert set(reads) == rows and "SFR_PRECISION" in rows

@@ -284,6 +284,26 @@ def test_dice_memory_is_bounded_by_edges_and_one_block():
     assert len(plan.flips) == plan.budget and peak < DICE_PEAK_BOUND, peak
 
 
+def test_edge_keys_are_built_once_per_matrix_and_read_only(monkeypatch):
+    g = sbm_graph([40, 30, 30], p_in=0.1, p_out=0.01, seed=72, feature_dim=3,
+                  train_ratio=0.3, val_ratio=0.1)
+    calls = []
+    entry_rows = CsrAdjacency.entry_rows
+
+    def counted(self):
+        calls.append(self)
+        return entry_rows(self)
+
+    monkeypatch.setattr(CsrAdjacency, "entry_rows", counted)
+    plan = dice_attack(g, 0.1, RngState(7))
+    apply_perturbation(g, plan)  # checks the plan's pairs against the keys, then toggles them
+    assert plan.flips and calls == [g.adjacency]
+    keys = g.adjacency.edge_keys()
+    assert keys is g.adjacency.edge_keys()
+    with pytest.raises(ValueError, match="read-only"):
+        keys[0] = 0
+
+
 SET_ROUTINE = re.compile(r"np\.(unique|isin|in1d|setxor1d|union1d|setdiff1d|intersect1d)\(")
 
 # every call of a numpy set routine in src/sfrgnn, by file and line of code,

@@ -322,8 +322,13 @@ def test_concurrent_trials_count_their_own_propagations():
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         models = list(pool.map(trial, [3, 4]))
-    for model in models:
+    for model, seed in zip(models, [3, 4]):
         assert model.history.finetune.spmm_calls == [8] * cfg.finetune_epochs
+        # and each trains bitwise the model that the same call trains alone
+        serial = train(g, cfg, "sfr", RngState(seed))
+        assert [a.tobytes() for a in model.params.arrays()] == [
+            a.tobytes() for a in serial.params.arrays()
+        ]
 
 
 def test_sparse_features_keep_propagation_counts():
